@@ -2,7 +2,12 @@
 //! through the `rsel-runtime` scheduler and writes `BENCH_serve.json`.
 //!
 //! Scale follows `RSEL_SCALE` (`test` or `full`, default `test` — a
-//! full-scale serve replays ~10⁸ recorded steps). Worker count for the
+//! full-scale serve replays ~10⁸ recorded steps).
+//!
+//! Every knob below passes one checked parser: a value that does not
+//! parse, does not fit the knob's type, is zero where a count must be
+//! at least one, or is not one of a knob's listed choices is reported
+//! by name and exits 1. Worker count for the
 //! headline run follows `RSEL_JOBS`. The scheduler's report contains
 //! nothing wall-clock- or worker-count-dependent; the single
 //! exception in the file is `insts_per_sec`, which this bin measures
@@ -96,42 +101,183 @@ use rsel_runtime::{
     serve, serve_warm,
 };
 use rsel_workloads::Scale;
+use std::fmt;
 use std::time::Instant;
 
-/// Parses env var `name` as a `u64`, defaulting when unset. A set but
-/// unparsable value is a hard error — a typo must not silently serve
-/// an unfaulted run.
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an unsigned integer, got {v:?}")),
-        Err(_) => default,
+/// A rejected `RSEL_*` knob. The bin reports it and exits 1: a typo
+/// must neither panic nor silently serve a configuration nobody asked
+/// for.
+#[derive(Debug, PartialEq)]
+enum KnobError {
+    /// The value is not an unsigned integer.
+    NotANumber { knob: &'static str, value: String },
+    /// The value does not fit the knob's type (it would truncate).
+    OutOfRange {
+        knob: &'static str,
+        value: u64,
+        ty: &'static str,
+    },
+    /// A count that must be at least one was zero.
+    Zero(&'static str),
+    /// A value outside the knob's fixed choices.
+    Unknown {
+        knob: &'static str,
+        value: String,
+        expected: &'static str,
+    },
+    /// Individually valid knobs that the configuration check rejects.
+    Rejected { knobs: &'static str, why: String },
+}
+
+impl fmt::Display for KnobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KnobError::NotANumber { knob, value } => {
+                write!(f, "{knob} must be an unsigned integer, got {value:?}")
+            }
+            KnobError::OutOfRange { knob, value, ty } => {
+                write!(f, "{knob}={value} does not fit a {ty}")
+            }
+            KnobError::Zero(knob) => write!(f, "{knob} must be at least 1"),
+            KnobError::Unknown {
+                knob,
+                value,
+                expected,
+            } => write!(f, "{knob} must be {expected}, got {value:?}"),
+            KnobError::Rejected { knobs, why } => write!(f, "{knobs} knobs rejected: {why}"),
+        }
     }
+}
+
+/// Reads knob `name` through `var` as a `T`, `default` when unset. The
+/// one checked parser every numeric knob goes through.
+fn knob<T: TryFrom<u64>>(
+    var: &impl Fn(&str) -> Option<String>,
+    name: &'static str,
+    default: T,
+) -> Result<T, KnobError> {
+    let Some(raw) = var(name) else {
+        return Ok(default);
+    };
+    let value: u64 = raw.trim().parse().map_err(|_| KnobError::NotANumber {
+        knob: name,
+        value: raw.clone(),
+    })?;
+    T::try_from(value).map_err(|_| KnobError::OutOfRange {
+        knob: name,
+        value,
+        ty: std::any::type_name::<T>(),
+    })
+}
+
+/// [`knob`] for a count that must be at least one.
+fn count_knob(
+    var: &impl Fn(&str) -> Option<String>,
+    name: &'static str,
+    default: usize,
+) -> Result<usize, KnobError> {
+    match knob(var, name, default)? {
+        0 => Err(KnobError::Zero(name)),
+        n => Ok(n),
+    }
+}
+
+/// Everything the bin reads from `RSEL_*` knobs besides the snapshot
+/// path and the presence-only switches.
+struct Knobs {
+    config: ServeConfig,
+    scale: Scale,
+    replicas: usize,
+    policy_mode: &'static str,
+}
+
+/// Parses and validates every knob, reading variables through `var`.
+fn knobs(var: impl Fn(&str) -> Option<String>) -> Result<Knobs, KnobError> {
+    let scale = match var("RSEL_SCALE").as_deref() {
+        None | Some("test") => Scale::Test,
+        Some("full") => Scale::Full,
+        Some(other) => {
+            return Err(KnobError::Unknown {
+                knob: "RSEL_SCALE",
+                value: other.to_string(),
+                expected: "test or full",
+            });
+        }
+    };
+    let mut config = ServeConfig::default();
+    let faults = &mut config.sim.faults;
+    faults.smc_write_ppm = knob(&var, "RSEL_SMC_PPM", 0)?;
+    faults.smc_max_span = knob(&var, "RSEL_SMC_SPAN", 64)?;
+    faults.seed = knob(&var, "RSEL_SMC_SEED", 0)?;
+    faults.flush_wave_ppm = knob(&var, "RSEL_FLUSH_PPM", 0)?;
+    faults.counter_fault_ppm = knob(&var, "RSEL_CTR_PPM", 0)?;
+    faults.blacklist_after = knob(&var, "RSEL_BLACKLIST_AFTER", 3)?;
+    faults.check().map_err(|e| KnobError::Rejected {
+        knobs: "RSEL_SMC_*",
+        why: e.to_string(),
+    })?;
+    config.churn = ChurnConfig {
+        seed: knob(&var, "RSEL_CHURN_SEED", 0)?,
+        arrival_spread: knob(&var, "RSEL_CHURN_SPREAD", 0)?,
+        max_disconnects: knob(&var, "RSEL_CHURN_DISCONNECTS", 0)?,
+        max_gap: knob(&var, "RSEL_CHURN_GAP", 4)?,
+        crash_percent: knob(&var, "RSEL_CHURN_CRASH_PCT", 0)?,
+    };
+    config.churn.check().map_err(|why| KnobError::Rejected {
+        knobs: "RSEL_CHURN_*",
+        why: why.to_string(),
+    })?;
+    config.checkpoint_every = knob(&var, "RSEL_CHECKPOINT_EVERY", 0)?;
+    config.admission_timeout = knob(&var, "RSEL_ADMIT_TIMEOUT", 0)?;
+    config.reconnect_cold = var("RSEL_RECONNECT_COLD").is_some();
+    config.share = knob::<u64>(&var, "RSEL_SHARE", 0)? != 0;
+    config.quarantine_penalty = knob(&var, "RSEL_QUARANTINE_PENALTY", 0)?;
+    config.utility_evict = knob::<u64>(&var, "RSEL_UTILITY_EVICT", 0)? != 0;
+    config.shard_count = count_knob(&var, "RSEL_SHARDS", config.shard_count)?;
+    config.shard_capacity = knob(&var, "RSEL_SHARD_CAP", config.shard_capacity)?;
+    // The policy engine needs the serving epoch length to size each
+    // tenant's explore schedule against its stream.
+    config.policy.epoch_len = config.epoch_len;
+    let policy_mode = match var("RSEL_POLICY").as_deref() {
+        Some("legacy") => "legacy",
+        None | Some("adaptive") => "adaptive",
+        Some("extended") => {
+            config.policy.candidates = SelectorKind::extended().to_vec();
+            "extended"
+        }
+        Some(other) => {
+            return Err(KnobError::Unknown {
+                knob: "RSEL_POLICY",
+                value: other.to_string(),
+                expected: "legacy, adaptive, or extended",
+            });
+        }
+    };
+    config.policy.adaptive = policy_mode != "legacy";
+    Ok(Knobs {
+        config,
+        scale,
+        replicas: count_knob(&var, "RSEL_REPLICAS", 1)?,
+        policy_mode,
+    })
 }
 
 fn main() {
     let jobs = jobs_from_env();
-    let scale = match std::env::var("RSEL_SCALE").as_deref() {
-        Ok("full") => Scale::Full,
-        _ => Scale::Test,
-    };
+    let Knobs {
+        config,
+        scale,
+        replicas,
+        policy_mode,
+    } = knobs(|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+        .unwrap_or_else(|e| {
+            eprintln!("FAIL: {e}");
+            std::process::exit(1);
+        });
     let crosscheck = matches!(scale, Scale::Test) || std::env::var_os("RSEL_CROSSCHECK").is_some();
     let strict = std::env::var_os("RSEL_SNAPSHOT_STRICT").is_some();
     let snapshot_path = std::env::var_os("RSEL_SNAPSHOT").map(std::path::PathBuf::from);
 
-    let mut config = ServeConfig::default();
-    config.sim.faults.smc_write_ppm = env_u64("RSEL_SMC_PPM", 0) as u32;
-    config.sim.faults.smc_max_span = env_u64("RSEL_SMC_SPAN", 64);
-    config.sim.faults.seed = env_u64("RSEL_SMC_SEED", 0);
-    config.sim.faults.flush_wave_ppm = env_u64("RSEL_FLUSH_PPM", 0) as u32;
-    config.sim.faults.counter_fault_ppm = env_u64("RSEL_CTR_PPM", 0) as u32;
-    config.sim.faults.blacklist_after = env_u64("RSEL_BLACKLIST_AFTER", 3) as u32;
-    config
-        .sim
-        .faults
-        .check()
-        .expect("RSEL_SMC_* knobs are sane");
     if config.sim.faults.active() {
         eprintln!(
             "fault traffic enabled: {} smc ppm (span {} B), {} flush ppm, \
@@ -144,38 +290,6 @@ fn main() {
             config.sim.faults.seed,
         );
     }
-
-    config.churn = ChurnConfig {
-        seed: env_u64("RSEL_CHURN_SEED", 0),
-        arrival_spread: env_u64("RSEL_CHURN_SPREAD", 0),
-        max_disconnects: env_u64("RSEL_CHURN_DISCONNECTS", 0) as u32,
-        max_gap: env_u64("RSEL_CHURN_GAP", 4),
-        crash_percent: env_u64("RSEL_CHURN_CRASH_PCT", 0) as u8,
-    };
-    config.checkpoint_every = env_u64("RSEL_CHECKPOINT_EVERY", 0);
-    config.admission_timeout = env_u64("RSEL_ADMIT_TIMEOUT", 0);
-    config.reconnect_cold = std::env::var_os("RSEL_RECONNECT_COLD").is_some();
-    config.share = env_u64("RSEL_SHARE", 0) != 0;
-    config.quarantine_penalty = env_u64("RSEL_QUARANTINE_PENALTY", 0);
-    config.utility_evict = env_u64("RSEL_UTILITY_EVICT", 0) != 0;
-    config.shard_count = env_u64("RSEL_SHARDS", config.shard_count as u64).max(1) as usize;
-    config.shard_capacity = env_u64("RSEL_SHARD_CAP", config.shard_capacity);
-    // The policy engine needs the serving epoch length to size each
-    // tenant's explore schedule against its stream.
-    config.policy.epoch_len = config.epoch_len;
-    let policy_mode = std::env::var("RSEL_POLICY").unwrap_or_else(|_| "adaptive".to_string());
-    match policy_mode.as_str() {
-        "legacy" => {}
-        "adaptive" => config.policy.adaptive = true,
-        "extended" => {
-            config.policy.adaptive = true;
-            config.policy.candidates = SelectorKind::extended().to_vec();
-        }
-        other => {
-            eprintln!("FAIL: RSEL_POLICY must be legacy, adaptive, or extended, got {other:?}");
-            std::process::exit(1);
-        }
-    }
     if policy_mode != "legacy" {
         eprintln!(
             "policy: {policy_mode} (stream-shaped explore schedules, {} candidates)",
@@ -184,11 +298,6 @@ fn main() {
     }
     if config.utility_evict {
         eprintln!("utility eviction enabled: victims ranked by bytes per recent cached inst");
-    }
-    let replicas = env_u64("RSEL_REPLICAS", 1).max(1) as usize;
-    if let Err(e) = config.churn.check() {
-        eprintln!("FAIL: RSEL_CHURN_* knobs rejected: {e}");
-        std::process::exit(1);
     }
     if config.churn.active() {
         eprintln!(
@@ -454,5 +563,149 @@ fn main() {
     }
     if crosscheck {
         eprintln!("ok: outcome identical across worker counts");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parses knobs from `pairs` as if they were the environment.
+    fn parse(pairs: &[(&str, &str)]) -> Result<Knobs, KnobError> {
+        knobs(|name| {
+            pairs
+                .iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    fn rejection(pairs: &[(&str, &str)]) -> KnobError {
+        match parse(pairs) {
+            Ok(_) => panic!("{pairs:?} must be rejected"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn unset_knobs_take_the_defaults() {
+        let k = parse(&[]).unwrap();
+        assert!(matches!(k.scale, Scale::Test));
+        assert_eq!(k.replicas, 1);
+        assert_eq!(k.policy_mode, "adaptive");
+        assert!(k.config.policy.adaptive);
+        assert_eq!(k.config.shard_count, ServeConfig::default().shard_count);
+        assert_eq!(k.config.sim.faults.smc_max_span, 64);
+        assert_eq!(k.config.churn.max_gap, 4);
+    }
+
+    #[test]
+    fn set_knobs_reach_the_config() {
+        let k = parse(&[
+            ("RSEL_SCALE", "full"),
+            ("RSEL_SMC_PPM", "200"),
+            ("RSEL_CHURN_CRASH_PCT", "50"),
+            ("RSEL_SHARDS", "4"),
+            ("RSEL_REPLICAS", "8"),
+            ("RSEL_SHARE", "1"),
+            ("RSEL_POLICY", "extended"),
+        ])
+        .unwrap();
+        assert!(matches!(k.scale, Scale::Full));
+        assert_eq!(k.config.sim.faults.smc_write_ppm, 200);
+        assert_eq!(k.config.churn.crash_percent, 50);
+        assert_eq!(k.config.shard_count, 4);
+        assert_eq!(k.replicas, 8);
+        assert!(k.config.share);
+        assert_eq!(k.config.policy.candidates, SelectorKind::extended());
+    }
+
+    #[test]
+    fn truncating_values_are_rejected() {
+        assert_eq!(
+            rejection(&[("RSEL_CHURN_CRASH_PCT", "300")]),
+            KnobError::OutOfRange {
+                knob: "RSEL_CHURN_CRASH_PCT",
+                value: 300,
+                ty: "u8"
+            }
+        );
+        assert_eq!(
+            rejection(&[("RSEL_SMC_PPM", "4294967496")]),
+            KnobError::OutOfRange {
+                knob: "RSEL_SMC_PPM",
+                value: 4_294_967_496,
+                ty: "u32"
+            }
+        );
+    }
+
+    #[test]
+    fn zero_counts_are_rejected() {
+        assert_eq!(
+            rejection(&[("RSEL_SHARDS", "0")]),
+            KnobError::Zero("RSEL_SHARDS")
+        );
+        assert_eq!(
+            rejection(&[("RSEL_REPLICAS", "0")]),
+            KnobError::Zero("RSEL_REPLICAS")
+        );
+    }
+
+    #[test]
+    fn unknown_choices_are_rejected() {
+        assert!(matches!(
+            rejection(&[("RSEL_SCALE", "huge")]),
+            KnobError::Unknown {
+                knob: "RSEL_SCALE",
+                ..
+            }
+        ));
+        assert!(matches!(
+            rejection(&[("RSEL_POLICY", "greedy")]),
+            KnobError::Unknown {
+                knob: "RSEL_POLICY",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn unparsable_values_are_errors_not_panics() {
+        for (knob, value) in [("RSEL_SMC_SEED", "abc"), ("RSEL_SHARD_CAP", "-1")] {
+            assert_eq!(
+                rejection(&[(knob, value)]),
+                KnobError::NotANumber {
+                    knob,
+                    value: value.to_string()
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn inconsistent_knobs_are_rejected() {
+        let e = rejection(&[("RSEL_CHURN_CRASH_PCT", "101")]);
+        assert!(
+            matches!(
+                e,
+                KnobError::Rejected {
+                    knobs: "RSEL_CHURN_*",
+                    ..
+                }
+            ),
+            "{e}"
+        );
+        let e = rejection(&[("RSEL_SMC_PPM", "2000000")]);
+        assert!(
+            matches!(
+                e,
+                KnobError::Rejected {
+                    knobs: "RSEL_SMC_*",
+                    ..
+                }
+            ),
+            "{e}"
+        );
     }
 }

@@ -29,11 +29,16 @@
 //!   epoch each, scores them by observed hit rate minus a code
 //!   expansion penalty, then exploits the winner — re-exploring when
 //!   the score collapses (a phase shift).
-//! - [`serve`] — the **session scheduler**: a bounded admission queue
-//!   feeds up to `max_active` concurrent sessions; each round runs one
-//!   epoch of every active session across `jobs` worker threads, then
-//!   a deterministic barrier applies shard pressure and policy
-//!   decisions in tenant order.
+//! - [`serve`] — the **session scheduler**, entered through
+//!   [`serve()`] (cold) or [`serve_warm`] (from a [`WarmStart`]). Each
+//!   round runs the same ordered phases: arrivals join the pending
+//!   line; admission fills a bounded queue that feeds up to
+//!   `max_active` concurrent sessions (shedding arrivals stuck past an
+//!   admission timeout); one epoch of every active session runs across
+//!   `jobs` worker threads inside a panic boundary; then a serial
+//!   barrier, in tenant order, settles quarantines, finished tenants,
+//!   and churn departures, relieves shard pressure, applies policy
+//!   decisions, and takes periodic checkpoints.
 //! - [`store`] — a **content-addressed shared region store**
 //!   (opt-in via [`ServeConfig::share`]): identical regions across
 //!   tenants — homogeneous traffic replaying the same recordings —
@@ -47,8 +52,8 @@
 //!   state, cached regions, and fault blacklist, with a
 //!   strict-validation loader ([`load_snapshot`]) and a lenient one
 //!   ([`load_warm_start`]) that degrades stale tenants to cold starts,
-//!   so the next run can warm-start ([`serve_with`], [`serve_warm`])
-//!   instead of re-exploring from scratch.
+//!   so the next run can warm-start ([`serve_warm`]) instead of
+//!   re-exploring from scratch.
 //!
 //! Serving can also run **under fault traffic**: with nonzero
 //! [`FaultConfig`](rsel_core::FaultConfig) rates in
@@ -96,7 +101,7 @@ pub use policy::{PolicyConfig, PolicyEngine, PolicyState, SwitchReason, SwitchRe
 pub use report::{
     DipSummary, DipTracker, QueueStats, ServeOutcome, ServeReport, ShardReport, TenantSummary,
 };
-pub use serve::{ServeConfig, ServeError, serve, serve_warm, serve_with, tenant_fault_seed};
+pub use serve::{ServeConfig, ServeError, serve, serve_warm, tenant_fault_seed};
 pub use session::{EpochStats, TenantSession, TenantSpec};
 pub use shard::{SharedCacheMap, shard_of};
 pub use snapshot::{

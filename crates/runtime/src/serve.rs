@@ -1,38 +1,56 @@
 //! The session scheduler: bounded admission, parallel epochs, a
 //! deterministic decision barrier, and a contained failure domain.
 //!
-//! [`serve`] (and its warm-starting variants [`serve_with`] and
-//! [`serve_warm`]) drives every tenant through three stages:
+//! [`serve`] (cold) and [`serve_warm`] (from a [`WarmStart`]) build a
+//! private `Scheduler` — validation, per-tenant setup, and the warm
+//! restore happen in `Scheduler::new` — and run it one round at a
+//! time until no tenant is owed service. Every round is the same
+//! ordered list of phases, one scheduler method each:
 //!
-//! 1. **Admission** — tenants arrive (at round zero, or staggered by a
-//!    churn schedule) in id order into a bounded queue
-//!    (`queue_capacity`); at most `max_active` sessions run
-//!    concurrently. A full queue defers arrivals — the backpressure
-//!    the [`QueueStats`](crate::QueueStats) expose. A zero-capacity
-//!    queue means "no buffering": arrivals are admitted directly up to
-//!    `max_active` and the rest stay deferred. Under sustained
-//!    overload an optional admission timeout *sheds* waiting arrivals:
-//!    they are pushed back out and retry after an exponential backoff,
-//!    so the queue never silently grows a convoy.
-//! 2. **Rounds** — each round runs one epoch of every active session,
+//! 1. **Arrivals** (`arrive`) — tenants due this round join the
+//!    pending line in tenant order: first arrivals (at round zero, or
+//!    staggered by a churn schedule), reconnects, quarantine retries,
+//!    and shed arrivals coming back.
+//! 2. **Admission** (`admit`) — the pending line fills a bounded queue
+//!    (`queue_capacity`), and the queue feeds up to `max_active`
+//!    concurrent sessions. A full queue defers arrivals — the
+//!    backpressure the [`QueueStats`](crate::QueueStats) expose. A
+//!    zero-capacity queue means "no buffering": arrivals are admitted
+//!    directly up to `max_active` and the rest stay deferred. Under
+//!    sustained overload an optional admission timeout *sheds*
+//!    waiting arrivals: they are pushed back out and retry after an
+//!    exponential backoff, so the queue never silently grows a convoy.
+//! 3. **Epochs** (`run_epochs`) — one epoch of every active session,
 //!    fanned out over `jobs` scoped worker threads. Sessions only
 //!    touch their own simulator and publish commutative occupancy
 //!    updates to the shared map, so worker scheduling cannot affect
 //!    any result. Every epoch runs inside a panic boundary: a session
-//!    that panics (or that poisoned its lock) is *quarantined* at the
-//!    next barrier — taken out of rotation with its partial metrics
-//!    kept — instead of killing the serve.
-//! 3. **Barrier** — with the workers joined, all cross-tenant
-//!    decisions happen serially in deterministic order: contention and
-//!    peak accounting, quarantine, departures and churn events
-//!    (finished, disconnecting, and crashing tenants release their
-//!    shard bytes; disconnects checkpoint first, crashes rewind to
-//!    their last checkpoint), shard-pressure eviction (each
-//!    overflowing shard plans its whole victim set — heaviest tenant
-//!    sheds the oldest half of its regions there, repeatedly, until
-//!    the shard fits — then applies it with one eviction pass per
-//!    victim tenant), per-tenant policy decisions, and periodic
-//!    checkpoints.
+//!    that panics (or that poisoned its lock) comes back `Crashed`
+//!    instead of killing the serve.
+//! 4. **Barrier** — with the workers joined, every cross-tenant
+//!    decision happens serially in tenant order:
+//!    1. `settle` folds the epoch deltas, then quarantines crashed
+//!       sessions (taken out of rotation with their partial metrics
+//!       kept, or scheduled for their one cold retry), retires
+//!       finished ones, and applies churn events: disconnects
+//!       checkpoint first, crashes rewind to their last checkpoint.
+//!       Every departure releases the tenant's shard bytes and store
+//!       refs (`release`).
+//!    2. `relieve_pressure` resolves overflowing shards. Each one
+//!       plans its whole victim set — the top-ranked resident sheds
+//!       half its remaining regions there, repeatedly, until the shard
+//!       fits — then applies it with one eviction pass per victim
+//!       tenant. Residents rank by bytes, or under utility eviction by
+//!       bytes per recent cached instruction; in share mode the store
+//!       plans the wave over deduplicated entries instead.
+//!    3. `decide` feeds each epoch to its tenant's policy engine and
+//!       applies the selector switches it asks for.
+//!    4. `checkpoint_round` takes the periodic checkpoints that crash
+//!       recovery rewinds to.
+//!
+//! When the last tenant has finished (or been quarantined for good),
+//! `into_outcome` assembles the report, the per-tenant run reports,
+//! and the final snapshot.
 //!
 //! # Churn and chaos
 //!
@@ -53,7 +71,7 @@
 //! [`ServeSnapshot`](crate::ServeSnapshot) of the final state so the
 //! next run can warm-start from it.
 
-use crate::churn::{ChaosConfig, ChurnConfig, LifecycleKind, TenantLifecycle};
+use crate::churn::{ChaosConfig, ChurnConfig, LifecycleEvent, LifecycleKind, TenantLifecycle};
 use crate::policy::{
     PolicyConfig, PolicyEngine, PolicyFeatures, SwitchRecord, derive_tenant_policy,
 };
@@ -141,7 +159,8 @@ pub struct ServeConfig {
     /// Per-session simulator configuration.
     pub sim: SimConfig,
     /// Adaptive-policy tuning (candidates, scoring, phase-shift
-    /// sensitivity).
+    /// sensitivity). A one-candidate pool serves every session on that
+    /// selector forever.
     pub policy: PolicyConfig,
     /// Steps each session replays per round.
     pub epoch_len: usize,
@@ -154,9 +173,6 @@ pub struct ServeConfig {
     /// Per-shard byte budget; overflowing a shard triggers pressure
     /// eviction at the next barrier.
     pub shard_capacity: u64,
-    /// Whether the policy engine may switch selectors; `false` serves
-    /// every session on the first candidate forever.
-    pub adaptive: bool,
     /// Seeded tenant churn: staggered arrivals, disconnects,
     /// reconnects, crashes. Inert by default.
     pub churn: ChurnConfig,
@@ -206,7 +222,6 @@ impl Default for ServeConfig {
             queue_capacity: 2,
             shard_count: 16,
             shard_capacity: 2048,
-            adaptive: true,
             churn: ChurnConfig::default(),
             chaos: ChaosConfig::default(),
             checkpoint_every: 0,
@@ -221,7 +236,7 @@ impl Default for ServeConfig {
 
 /// Serves every spec to completion on `jobs` worker threads from a
 /// cold start; the result is identical for any `jobs >= 1`. See
-/// [`serve_with`] to warm-start from a snapshot.
+/// [`serve_warm`] to warm-start from a snapshot.
 ///
 /// # Errors
 ///
@@ -234,62 +249,38 @@ pub fn serve(
     config: &ServeConfig,
     jobs: usize,
 ) -> Result<ServeOutcome, ServeError> {
-    serve_impl(specs, config, jobs, None, 0)
+    Ok(Scheduler::new(specs, config, None)?.run(jobs))
 }
 
-/// Serves every spec to completion on `jobs` worker threads,
-/// warm-starting from `warm` when given: each tenant's policy engine
-/// resumes with the snapshot's learned scores and phase, and its code
-/// cache starts pre-populated with the snapshot's regions (rebuilt
-/// against the live program). The result is identical for any
-/// `jobs >= 1`, warm or cold.
+/// Serves every spec on `jobs` worker threads, warm-starting from
+/// `warm`: each restored tenant's policy engine resumes with the
+/// snapshot's learned scores and phase, and its code cache starts
+/// pre-populated with the snapshot's regions (rebuilt against the
+/// live program). Tenants whose slot is `None` — rejected by the
+/// lenient loader ([`load_warm_start`](crate::load_warm_start)) —
+/// cold-start; the carried rejection count surfaces as
+/// [`warm_rejected_tenants`](ServeReport::warm_rejected_tenants) in
+/// the report. A whole [`ServeSnapshot`] warm-starts through
+/// [`ServeSnapshot::into_warm_start`]. The result is identical for any
+/// `jobs >= 1`.
 ///
-/// `warm` must come from [`load_snapshot`](crate::load_snapshot) (or
-/// an outcome of a run over the same specs and policy configuration)
-/// — the loader is the validation boundary that turns corrupt or
-/// mismatched snapshots into typed errors.
+/// `warm` must come from the snapshot loaders (or an outcome of a run
+/// over the same specs and policy configuration) — the loaders are
+/// the validation boundary that turns corrupt or mismatched snapshots
+/// into typed errors.
 ///
 /// # Errors
 ///
 /// Everything [`serve`] returns, plus [`ServeError::Snapshot`] when
 /// `warm` does not match `specs`/`config` (tenant count, workload
-/// names, candidate list) — states the loader never produces.
-pub fn serve_with(
-    specs: &[TenantSpec],
-    config: &ServeConfig,
-    jobs: usize,
-    warm: Option<&ServeSnapshot>,
-) -> Result<ServeOutcome, ServeError> {
-    match warm {
-        None => serve_impl(specs, config, jobs, None, 0),
-        Some(snap) => {
-            let slots: Vec<Option<&TenantSnapshot>> = snap.tenants.iter().map(Some).collect();
-            serve_impl(specs, config, jobs, Some(&slots), 0)
-        }
-    }
-}
-
-/// Serves every spec on `jobs` worker threads, warm-starting from a
-/// possibly partial [`WarmStart`]: tenants whose snapshot the lenient
-/// loader ([`load_warm_start`](crate::load_warm_start)) rejected hold
-/// a `None` slot and cold-start, everyone else resumes warm. The
-/// carried rejection count surfaces as
-/// [`warm_rejected_tenants`](ServeReport::warm_rejected_tenants) in
-/// the report. The result is identical for any `jobs >= 1`.
-///
-/// # Errors
-///
-/// The same conditions as [`serve_with`]; the restored slots must
-/// come from the loader run against the same specs and policy
-/// configuration.
+/// names, candidate list) — states the loaders never produce.
 pub fn serve_warm(
     specs: &[TenantSpec],
     config: &ServeConfig,
     jobs: usize,
     warm: &WarmStart,
 ) -> Result<ServeOutcome, ServeError> {
-    let slots: Vec<Option<&TenantSnapshot>> = warm.tenants.iter().map(|t| t.as_ref()).collect();
-    serve_impl(specs, config, jobs, Some(&slots), warm.rejected)
+    Ok(Scheduler::new(specs, config, Some(warm))?.run(jobs))
 }
 
 /// A tenant's last persisted state: the `RSNP` tenant section plus
@@ -311,57 +302,13 @@ enum Outcome {
     Crashed,
 }
 
-/// Cross-session accounting for one tenant: epoch deltas accumulate
-/// every round (so crash-recovery re-execution is counted as the work
-/// it is), and each torn-down session's monotone counters fold in
-/// exactly once (at teardown, or at the end for the final session).
-#[derive(Clone, Debug, Default)]
-struct Ledger {
-    epochs: u64,
-    total_insts: u64,
-    cache_insts: u64,
-    insts_selected: u64,
-    regions_selected: u64,
-    smc_events: u64,
-    smc_invalidated: u64,
-    pressure_evicted: u64,
-    reformations: u64,
-    blacklisted_targets: u64,
-    blacklist_hits: u64,
-    smc_by_shard: Vec<u64>,
-    disconnects: u64,
-    reconnects: u64,
-    crashes: u64,
-    recovered_epochs: u64,
-    checkpoints: u64,
-    checkpoint_bytes: u64,
-    /// Switch decisions a crash rewound the engine past — the log
-    /// keeps them (they happened), the restored engine does not.
-    forgotten_switches: u64,
-    quarantined: bool,
-}
-
-impl Ledger {
-    fn fold_epoch(&mut self, e: &EpochStats) {
-        self.epochs += 1;
-        self.total_insts += e.insts;
-        self.cache_insts += e.cache_insts;
-        self.insts_selected += e.insts_selected;
-        self.regions_selected += e.regions_selected;
-        self.smc_events += e.smc_events;
-        self.smc_invalidated += e.smc_invalidated;
-    }
-
-    fn fold_session(&mut self, session: &TenantSession<'_>) {
-        let res = session.resilience();
-        self.pressure_evicted += res.pressure_evicted_regions;
-        self.reformations += res.reformations;
-        self.blacklisted_targets += res.blacklisted_targets;
-        self.blacklist_hits += res.blacklist_hits;
-        for (s, &n) in session.smc_by_shard().iter().enumerate() {
-            self.smc_by_shard[s] += n;
-        }
-    }
+/// The session in a tenant's slot. Poison-tolerant: a panicking epoch
+/// leaves the session at its last consistent assignment, and the
+/// barrier quarantines the tenant anyway.
+fn slot<'s, 'p>(
+    cell: &'s mut Mutex<Option<TenantSession<'p>>>,
+) -> &'s mut Option<TenantSession<'p>> {
+    cell.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Captures `session`'s persistent state as an `RSNP` tenant section.
@@ -375,950 +322,925 @@ fn freeze_tenant(session: &TenantSession<'_>, engine: &PolicyEngine) -> TenantSn
     }
 }
 
-/// Builds the session a (re)admitted tenant runs on: warm from its
-/// checkpoint when one exists (or cold-at-position under
-/// `reconnect_cold`), cold from the top otherwise.
-fn rebuild_session<'p>(
-    t: usize,
-    spec: &'p TenantSpec,
-    sim_config: &SimConfig,
-    engine: &PolicyEngine,
-    checkpoint: Option<&Checkpoint>,
-    config: &ServeConfig,
-) -> TenantSession<'p> {
-    let cold = |pos: usize| {
-        let mut s = TenantSession::new(
-            t as u16,
-            spec,
-            engine.current(),
-            sim_config,
-            config.shard_count,
-        );
-        s.seek(pos);
-        s
-    };
+/// The policy engine as of `checkpoint`: restored from its policy
+/// state, or fresh without one. `None` if the state does not fit
+/// `policy` (a snapshot taken under another candidate list).
+fn engine_at(policy: &PolicyConfig, checkpoint: Option<&Checkpoint>) -> Option<PolicyEngine> {
     match checkpoint {
-        None => cold(0),
-        Some(cp) if config.reconnect_cold => cold(cp.pos),
-        Some(cp) => {
-            match TenantSession::restore(t as u16, spec, &cp.snap, sim_config, config.shard_count) {
-                Ok(mut s) => {
-                    s.seek(cp.pos);
-                    s
-                }
-                // A checkpoint captured from a live session always
-                // rebuilds; if it somehow does not, degrade the tenant
-                // to a cold resume rather than failing the serve.
-                Err(_) => cold(cp.pos),
-            }
-        }
+        Some(c) => PolicyEngine::restore(policy.clone(), &c.snap.policy),
+        None => Some(PolicyEngine::new(policy.clone())),
     }
 }
 
-fn serve_impl(
-    specs: &[TenantSpec],
-    config: &ServeConfig,
-    jobs: usize,
-    warm: Option<&[Option<&TenantSnapshot>]>,
-    warm_rejected_tenants: u64,
-) -> Result<ServeOutcome, ServeError> {
-    if specs.len() > u16::MAX as usize {
-        return Err(ServeError::TooManyTenants(specs.len()));
+/// Whether resident `a` outranks the current victim `v` — both
+/// `(tenant, bytes, recent heat)` — for shedding in a pressure wave:
+/// more bytes, or under `utility` more bytes per recent cached
+/// instruction (cold bulk sheds before hot working sets; ties go to
+/// the larger footprint). The utility comparison cross-multiplies in
+/// u128 so no float ever enters an eviction decision.
+fn outranks(utility: bool, a: (u16, u64, u64), v: (u16, u64, u64)) -> bool {
+    let ((_, b, r), (_, vb, vr)) = (a, v);
+    if !utility {
+        return b > vb;
     }
-    if config.epoch_len == 0 {
-        return Err(ServeError::InvalidConfig("epochs must make progress"));
-    }
-    if config.max_active == 0 {
-        return Err(ServeError::InvalidConfig(
-            "need at least one active session",
-        ));
-    }
-    if config.shard_count == 0 {
-        return Err(ServeError::InvalidConfig("need at least one shard"));
-    }
-    config.churn.check().map_err(ServeError::InvalidConfig)?;
-    let jobs = jobs.max(1);
+    let ua = b as u128 * (u128::from(vr) + 1);
+    let uv = vb as u128 * (u128::from(r) + 1);
+    ua > uv || (ua == uv && b > vb)
+}
 
-    // Per-tenant simulator configs: each tenant's fault schedule is
-    // seeded from the base seed and its id, so the schedule is a
-    // property of the tenant alone. With all fault rates zero the
-    // seed is never drawn and the clones are inert.
-    let sim_configs: Vec<SimConfig> = (0..specs.len())
-        .map(|t| {
-            let mut sim = config.sim.clone();
-            sim.faults.seed = tenant_fault_seed(config.sim.faults.seed, t as u16);
-            sim
+/// Everything the scheduler tracks for one tenant, across all of its
+/// sessions.
+struct Tenant<'p> {
+    spec: &'p TenantSpec,
+    /// Simulator configuration carrying the tenant's own fault seed.
+    sim: SimConfig,
+    /// The tenant's policy (stream-derived under an adaptive base)
+    /// and the features it was derived from.
+    policy: PolicyConfig,
+    features: Option<PolicyFeatures>,
+    engine: PolicyEngine,
+    /// The live session; `None` while the tenant is away. Finished and
+    /// quarantined sessions stay for the final report. Only the worker
+    /// running the tenant's epoch locks it.
+    session: Mutex<Option<TenantSession<'p>>>,
+    /// Last persisted state: what a crash rewinds to and a reconnect
+    /// resumes from.
+    checkpoint: Option<Checkpoint>,
+    /// Churn events still to come, in lifetime-epoch order.
+    events: VecDeque<LifecycleEvent>,
+    /// Round of the latest (re)arrival — the admission-latency clock.
+    /// Shed pushbacks do not reset it: a shed tenant's wait is honest
+    /// about the whole time since it first asked for service.
+    arrived_at: u64,
+    /// Rounds spent deferred since the last admission or shed.
+    waiting_rounds: u64,
+    /// Rounds the next shed pushes the tenant back.
+    backoff: u64,
+    /// Round of the first admission and the wait before it; `None`
+    /// until the tenant is first admitted.
+    admitted: Option<(u64, u64)>,
+    finished_round: u64,
+    first_exploit_round: Option<u64>,
+    quarantined: bool,
+    quarantine_retries: u64,
+    utility_evictions: u64,
+    dips: DipTracker,
+    // Cross-session counters: epoch deltas accumulate every round (so
+    // crash-recovery re-execution counts as the work it is), and each
+    // torn-down session's monotone counters fold in exactly once (at
+    // teardown, or at the end for the final session).
+    epochs: u64,
+    total_insts: u64,
+    cache_insts: u64,
+    insts_selected: u64,
+    regions_selected: u64,
+    smc_events: u64,
+    smc_invalidated: u64,
+    pressure_evicted: u64,
+    reformations: u64,
+    blacklisted_targets: u64,
+    blacklist_hits: u64,
+    disconnects: u64,
+    reconnects: u64,
+    crashes: u64,
+    recovered_epochs: u64,
+    checkpoints: u64,
+    checkpoint_bytes: u64,
+    /// Switch decisions a rewind (crash or quarantine retry) threw
+    /// away — the log keeps them (they happened), the engine does not.
+    forgotten_switches: u64,
+}
+
+impl<'p> Tenant<'p> {
+    /// Sets tenant `t` up: its fault seed, policy, lifecycle, engine,
+    /// and first session — restored from `warm` when given, which
+    /// doubles as the tenant's first checkpoint (a crash before any
+    /// new checkpoint recovers to it).
+    fn new(
+        t: usize,
+        spec: &'p TenantSpec,
+        config: &ServeConfig,
+        warm: Option<&TenantSnapshot>,
+    ) -> Result<Self, ServeError> {
+        let id = t as u16;
+        // The fault schedule is seeded from the base seed and the id,
+        // so it is a property of the tenant alone. With all fault
+        // rates zero the seed is never drawn.
+        let mut sim = config.sim.clone();
+        sim.faults.seed = tenant_fault_seed(config.sim.faults.seed, id);
+        // A stream-adaptive base policy derives the tenant's candidate
+        // schedule from its decoded stream shape (a pure function of
+        // config and spec — the snapshot loader re-derives the same).
+        let (policy, features) = derive_tenant_policy(&config.policy, spec);
+        let checkpoint = warm.map(|snap| Checkpoint {
+            snap: snap.clone(),
+            pos: 0,
+            epoch: 0,
+        });
+        let engine =
+            engine_at(&policy, checkpoint.as_ref()).ok_or(SnapshotError::BadPolicyState(id))?;
+        let session = match warm {
+            Some(snap) => TenantSession::restore(id, spec, snap, &sim, config.shard_count)?,
+            None => TenantSession::new(id, spec, engine.current(), &sim, config.shard_count),
+        };
+        // The lifecycle is generated upfront from the churn seed — a
+        // pure per-tenant function, so any worker count replays the
+        // same traffic.
+        let horizon = spec.len().div_ceil(config.epoch_len) as u64 + 1;
+        let lifecycle = TenantLifecycle::generate(&config.churn, id, horizon);
+        Ok(Tenant {
+            spec,
+            sim,
+            policy,
+            features,
+            engine,
+            session: Mutex::new(Some(session)),
+            checkpoint,
+            events: lifecycle.events.into(),
+            arrived_at: lifecycle.arrival_round,
+            waiting_rounds: 0,
+            backoff: 2,
+            admitted: None,
+            finished_round: 0,
+            first_exploit_round: None,
+            quarantined: false,
+            quarantine_retries: 0,
+            utility_evictions: 0,
+            dips: DipTracker::default(),
+            epochs: 0,
+            total_insts: 0,
+            cache_insts: 0,
+            insts_selected: 0,
+            regions_selected: 0,
+            smc_events: 0,
+            smc_invalidated: 0,
+            pressure_evicted: 0,
+            reformations: 0,
+            blacklisted_targets: 0,
+            blacklist_hits: 0,
+            disconnects: 0,
+            reconnects: 0,
+            crashes: 0,
+            recovered_epochs: 0,
+            checkpoints: 0,
+            checkpoint_bytes: 0,
+            forgotten_switches: 0,
         })
-        .collect();
-
-    // Per-tenant policy configs: with a stream-adaptive base policy
-    // each tenant's candidate schedule is derived from its decoded
-    // stream shape (a pure function of config and spec — the snapshot
-    // loader re-derives the same schedules). Non-adaptive bases pass
-    // through unchanged.
-    let mut tenant_policies: Vec<PolicyConfig> = Vec::with_capacity(specs.len());
-    let mut tenant_features: Vec<Option<PolicyFeatures>> = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let (p, f) = derive_tenant_policy(&config.policy, spec);
-        tenant_policies.push(p);
-        tenant_features.push(f);
     }
 
-    let warm_slots: Vec<Option<&TenantSnapshot>> = match warm {
-        None => vec![None; specs.len()],
-        Some(s) => {
-            if s.len() != specs.len() {
-                return Err(SnapshotError::TenantCountMismatch {
-                    snapshot: s.len().min(u16::MAX as usize) as u16,
-                    specs: specs.len(),
-                }
-                .into());
-            }
-            s.to_vec()
-        }
-    };
-    let mut map = SharedCacheMap::new(config.shard_count, config.shard_capacity);
-    // Share mode: the content-addressed store dedups identical regions
-    // across tenants; absent, every tenant pays for its own copies.
-    let mut store = config.share.then(|| RegionStore::new(config.shard_count));
-    let mut engines: Vec<PolicyEngine> = Vec::with_capacity(specs.len());
-    let mut sessions: Vec<Mutex<Option<TenantSession<'_>>>> = Vec::with_capacity(specs.len());
-    let mut checkpoints: Vec<Option<Checkpoint>> = Vec::with_capacity(specs.len());
-    let mut warm_regions_restored = 0u64;
-    for (t, spec) in specs.iter().enumerate() {
-        match warm_slots[t] {
-            Some(ts) => {
-                let engine = PolicyEngine::restore(tenant_policies[t].clone(), &ts.policy)
-                    .ok_or(SnapshotError::BadPolicyState(t as u16))?;
-                let session =
-                    TenantSession::restore(t as u16, spec, ts, &sim_configs[t], config.shard_count)
-                        .map_err(ServeError::Snapshot)?;
-                warm_regions_restored += ts.regions.len() as u64;
-                engines.push(engine);
-                sessions.push(Mutex::new(Some(session)));
-                // A warm slot doubles as the tenant's first checkpoint:
-                // a crash before any new checkpoint recovers to it.
-                checkpoints.push(Some(Checkpoint {
-                    snap: ts.clone(),
-                    pos: 0,
-                    epoch: 0,
-                }));
-            }
-            None => {
-                engines.push(PolicyEngine::new(tenant_policies[t].clone()));
-                sessions.push(Mutex::new(Some(TenantSession::new(
-                    t as u16,
-                    spec,
-                    engines[t].current(),
-                    &sim_configs[t],
-                    config.shard_count,
-                ))));
-                checkpoints.push(None);
-            }
+    fn fold_epoch(&mut self, e: &EpochStats) {
+        self.epochs += 1;
+        self.total_insts += e.insts;
+        self.cache_insts += e.cache_insts;
+        self.insts_selected += e.insts_selected;
+        self.regions_selected += e.regions_selected;
+        self.smc_events += e.smc_events;
+        self.smc_invalidated += e.smc_invalidated;
+        // Epochs that executed nothing say nothing about the cache.
+        if e.insts > 0 {
+            self.dips.on_epoch(e.hit_rate(), e.smc_invalidated > 0);
         }
     }
 
-    // Every tenant's lifecycle, generated upfront from the churn seed
-    // — pure per-tenant functions, so any worker count replays the
-    // same traffic.
-    let lifecycles: Vec<TenantLifecycle> = (0..specs.len())
-        .map(|t| {
-            let horizon = specs[t].len().div_ceil(config.epoch_len) as u64 + 1;
-            TenantLifecycle::generate(&config.churn, t as u16, horizon)
+    /// Folds a torn-down session's monotone counters in, and its SMC
+    /// invalidations into the run's per-shard totals.
+    fn fold_session(&mut self, session: &TenantSession<'_>, shard_smc: &mut [u64]) {
+        let res = session.resilience();
+        self.pressure_evicted += res.pressure_evicted_regions;
+        self.reformations += res.reformations;
+        self.blacklisted_targets += res.blacklisted_targets;
+        self.blacklist_hits += res.blacklist_hits;
+        for (s, &n) in session.smc_by_shard().iter().enumerate() {
+            shard_smc[s] += n;
+        }
+    }
+
+    /// Checkpoints the live session where its stream stands now.
+    fn checkpoint(&mut self) {
+        let Some(session) = slot(&mut self.session).as_ref() else {
+            return;
+        };
+        let snap = freeze_tenant(session, &self.engine);
+        self.checkpoints += 1;
+        self.checkpoint_bytes = tenant_snapshot_bytes(&snap);
+        self.checkpoint = Some(Checkpoint {
+            snap,
+            pos: session.pos(),
+            epoch: self.epochs,
+        });
+    }
+
+    /// Rewinds the policy engine to the checkpoint (fresh without
+    /// one); the switches decided since are logged but forgotten.
+    fn rewind_engine(&mut self) {
+        let kept = self
+            .checkpoint
+            .as_ref()
+            .map_or(0, |c| c.snap.policy.switches);
+        self.forgotten_switches += self.engine.switches() - kept;
+        self.engine = engine_at(&self.policy, self.checkpoint.as_ref())
+            .unwrap_or_else(|| PolicyEngine::new(self.policy.clone()));
+    }
+
+    /// The session a (re)admitted tenant runs on: warm from its
+    /// checkpoint and resumed at the checkpoint's stream position, or
+    /// cold at that position under `reconnect_cold`; cold from the top
+    /// without a checkpoint.
+    fn reopen(&self, t: usize, config: &ServeConfig) -> TenantSession<'p> {
+        let (id, shards) = (t as u16, config.shard_count);
+        let cp = self.checkpoint.as_ref();
+        // A checkpoint captured from a live session always rebuilds;
+        // if it somehow does not, degrade to a cold resume rather than
+        // failing the serve.
+        let warm = cp
+            .filter(|_| !config.reconnect_cold)
+            .and_then(|cp| TenantSession::restore(id, self.spec, &cp.snap, &self.sim, shards).ok());
+        let mut session = warm.unwrap_or_else(|| {
+            TenantSession::new(id, self.spec, self.engine.current(), &self.sim, shards)
+        });
+        session.seek(cp.map_or(0, |cp| cp.pos));
+        session
+    }
+}
+
+/// One serving run's state, advanced one round at a time (see the
+/// module docs for the phase order).
+struct Scheduler<'a> {
+    config: &'a ServeConfig,
+    warm: Option<&'a WarmStart>,
+    tenants: Vec<Tenant<'a>>,
+    map: SharedCacheMap,
+    /// Share mode: the content-addressed store dedups identical
+    /// regions across tenants; absent, every tenant pays for its own
+    /// copies.
+    store: Option<RegionStore>,
+    /// Arrival book: round -> tenants (re)arriving at it.
+    due: BTreeMap<u64, Vec<usize>>,
+    /// Arrivals deferred behind the bounded queue, in arrival order.
+    pending: VecDeque<usize>,
+    queue: VecDeque<usize>,
+    /// Running sessions, ascending tenant order.
+    active: Vec<usize>,
+    q: QueueStats,
+    switches: Vec<SwitchRecord>,
+    /// SMC invalidations per shard, folded from torn-down sessions.
+    shard_smc: Vec<u64>,
+    /// The chaos pill is one-shot per serve: once it fired (and the
+    /// tenant was quarantined), a retried session must not re-arm it —
+    /// it models a transient defect, and an eternal pill would make
+    /// the retry path untestable.
+    poison_spent: bool,
+    total_insts: u64,
+    round: u64,
+    /// Tenants still owed service: neither finished nor quarantined.
+    live: usize,
+}
+
+impl<'a> Scheduler<'a> {
+    /// Validates the configuration and sets every tenant up, restoring
+    /// warm slots.
+    fn new(
+        specs: &'a [TenantSpec],
+        config: &'a ServeConfig,
+        warm: Option<&'a WarmStart>,
+    ) -> Result<Self, ServeError> {
+        if specs.len() > u16::MAX as usize {
+            return Err(ServeError::TooManyTenants(specs.len()));
+        }
+        if config.epoch_len == 0 {
+            return Err(ServeError::InvalidConfig("epochs must make progress"));
+        }
+        if config.max_active == 0 {
+            return Err(ServeError::InvalidConfig(
+                "need at least one active session",
+            ));
+        }
+        if config.shard_count == 0 {
+            return Err(ServeError::InvalidConfig("need at least one shard"));
+        }
+        config.churn.check().map_err(ServeError::InvalidConfig)?;
+        if let Some(w) = warm.filter(|w| w.tenants.len() != specs.len()) {
+            return Err(SnapshotError::TenantCountMismatch {
+                snapshot: w.tenants.len().min(u16::MAX as usize) as u16,
+                specs: specs.len(),
+            }
+            .into());
+        }
+        let mut tenants = Vec::with_capacity(specs.len());
+        let mut due: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (t, spec) in specs.iter().enumerate() {
+            let tenant = Tenant::new(t, spec, config, warm.and_then(|w| w.tenants[t].as_ref()))?;
+            due.entry(tenant.arrived_at).or_default().push(t);
+            tenants.push(tenant);
+        }
+        Ok(Scheduler {
+            config,
+            warm,
+            tenants,
+            map: SharedCacheMap::new(config.shard_count, config.shard_capacity),
+            store: config.share.then(|| RegionStore::new(config.shard_count)),
+            due,
+            pending: VecDeque::new(),
+            queue: VecDeque::new(),
+            active: Vec::new(),
+            q: QueueStats::default(),
+            switches: Vec::new(),
+            shard_smc: vec![0; config.shard_count],
+            poison_spent: false,
+            total_insts: 0,
+            round: 0,
+            live: specs.len(),
         })
-        .collect();
-
-    // Arrival book: round -> tenants (re)arriving at it.
-    let mut due: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (t, l) in lifecycles.iter().enumerate() {
-        due.entry(l.arrival_round).or_default().push(t);
     }
-    let mut pending: VecDeque<usize> = VecDeque::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut active: Vec<usize> = Vec::new();
-    let mut q = QueueStats::default();
-    let mut switches: Vec<SwitchRecord> = Vec::new();
-    let mut ledgers: Vec<Ledger> = (0..specs.len())
-        .map(|_| Ledger {
-            smc_by_shard: vec![0; config.shard_count],
-            ..Ledger::default()
-        })
-        .collect();
-    let mut admitted_round = vec![0u64; specs.len()];
-    let mut finished_round = vec![0u64; specs.len()];
-    // When each tenant last (re)arrived — the admission-latency clock.
-    // Shed pushbacks do not reset it: a shed tenant's wait is honest
-    // about the whole time since it first asked for service.
-    let mut arrived_at: Vec<u64> = lifecycles.iter().map(|l| l.arrival_round).collect();
-    let mut admission_wait = vec![0u64; specs.len()];
-    // Quarantine-retry state: one fresh-session retry per tenant.
-    let mut retried = vec![false; specs.len()];
-    let mut retry_pending = vec![false; specs.len()];
-    let mut quarantine_retries = vec![0u64; specs.len()];
-    // The chaos pill is one-shot per serve: once it fired (and the
-    // tenant was quarantined), a retried session must not re-arm it —
-    // it models a transient defect, and an eternal pill would make
-    // the retry path untestable.
-    let mut poison_spent = false;
-    let mut first_exploit_round: Vec<Option<u64>> = vec![None; specs.len()];
-    let mut utility_evicted = vec![0u64; specs.len()];
-    let mut dips: Vec<DipTracker> = vec![DipTracker::default(); specs.len()];
-    let mut was_admitted = vec![false; specs.len()];
-    let mut shed_out = vec![false; specs.len()];
-    let mut waiting_rounds = vec![0u64; specs.len()];
-    let mut backoff = vec![2u64; specs.len()];
-    let mut next_event = vec![0usize; specs.len()];
-    let mut total_insts = 0u64;
-    let mut round = 0u64;
-    // Tenants still owed service: not finished and not quarantined.
-    let mut live = specs.len();
 
-    while live > 0 {
-        // --- Arrivals due this round (serial, tenant order) -----------
-        let due_rounds: Vec<u64> = due.range(..=round).map(|(&r, _)| r).collect();
-        let mut arrivals: Vec<usize> = Vec::new();
-        for r in due_rounds {
-            if let Some(ts) = due.remove(&r) {
-                arrivals.extend(ts);
-            }
+    /// Serves rounds until no tenant is owed service.
+    fn run(mut self, jobs: usize) -> ServeOutcome {
+        while self.live > 0 {
+            self.round(jobs);
         }
-        arrivals.sort_unstable();
-        for &t in &arrivals {
-            if ledgers[t].quarantined {
-                continue;
-            }
-            if shed_out[t] {
-                shed_out[t] = false;
-                q.admission_retries += 1;
-            }
-            pending.push_back(t);
-        }
+        self.into_outcome()
+    }
 
-        // --- Admission (serial, arrival order) ------------------------
-        let mut to_admit: Vec<usize> = Vec::new();
-        if config.queue_capacity == 0 {
-            // A zero-capacity queue buffers nothing: arrivals are
-            // admitted directly up to the active limit. (Routing them
-            // through the queue would livelock — nothing could ever
-            // enter a queue that holds zero tenants.)
-            while active.len() + to_admit.len() < config.max_active {
-                match pending.pop_front() {
-                    Some(t) => to_admit.push(t),
-                    None => break,
-                }
-            }
-        } else {
-            while queue.len() < config.queue_capacity {
-                match pending.pop_front() {
-                    Some(t) => queue.push_back(t),
-                    None => break,
-                }
-            }
-            while active.len() + to_admit.len() < config.max_active {
-                match queue.pop_front() {
-                    Some(t) => to_admit.push(t),
-                    None => break,
-                }
-            }
-            // Arrivals keep the bounded queue full while the round
-            // runs; whoever does not fit is deferred behind it
-            // (backpressure).
-            while queue.len() < config.queue_capacity {
-                match pending.pop_front() {
-                    Some(t) => queue.push_back(t),
-                    None => break,
-                }
-            }
-        }
-        for t in to_admit {
-            let slot = sessions[t]
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner);
-            if slot.is_none() {
-                *slot = Some(rebuild_session(
-                    t,
-                    &specs[t],
-                    &sim_configs[t],
-                    &engines[t],
-                    checkpoints[t].as_ref(),
-                    config,
-                ));
-            }
-            if config.chaos.poison_tenant == Some(t as u16) && !poison_spent {
-                // The pill fires at a *lifetime* epoch; a session that
-                // starts mid-life arms the remainder.
-                let remaining = config.chaos.poison_epoch.saturating_sub(ledgers[t].epochs);
-                if let Some(session) = slot.as_mut() {
-                    session.poison_after(remaining);
-                }
-            }
-            if retry_pending[t] {
-                // Quarantine retry: a fresh cold admission, not a
-                // churn reconnect.
-                retry_pending[t] = false;
-            } else if was_admitted[t] {
-                ledgers[t].reconnects += 1;
-            } else {
-                was_admitted[t] = true;
-                admitted_round[t] = round;
-                admission_wait[t] = round - arrived_at[t];
-            }
-            // Every admission (first, reconnect, retry) lands one
-            // sample in the log2 wait histogram.
-            q.admission_wait_hist[wait_bucket(round - arrived_at[t])] += 1;
-            waiting_rounds[t] = 0;
-            active.push(t);
-            q.admissions += 1;
-        }
-        // Overload shedding: arrivals stuck behind the queue past the
-        // timeout are pushed back out and retry after an exponential
-        // backoff, instead of convoying forever.
-        if config.admission_timeout > 0 {
-            for &t in &pending {
-                waiting_rounds[t] += 1;
-            }
-            let mut kept = VecDeque::with_capacity(pending.len());
-            for t in pending.drain(..) {
-                if waiting_rounds[t] >= config.admission_timeout {
-                    q.shed_arrivals += 1;
-                    shed_out[t] = true;
-                    waiting_rounds[t] = 0;
-                    due.entry(round + backoff[t]).or_default().push(t);
-                    backoff[t] = (backoff[t] * 2).min(64);
-                } else {
-                    kept.push_back(t);
-                }
-            }
-            pending = kept;
-        }
-        active.sort_unstable();
-        q.peak_active = q.peak_active.max(active.len() as u64);
-        q.peak_queue_depth = q.peak_queue_depth.max(queue.len() as u64);
-        q.queued_tenant_rounds += queue.len() as u64;
-        q.deferred_tenant_rounds += pending.len() as u64;
-
-        // --- Parallel epoch execution (panic-contained) ---------------
-        let mut outcomes: Vec<Option<Outcome>> = vec![None; specs.len()];
-        {
-            // One epoch of tenant `t`, inside the failure domain: a
-            // panic (e.g. a poison pill) or an already-poisoned lock
-            // yields `Crashed` for the barrier to quarantine; nothing
-            // unwinds past here, on any worker.
-            let sessions_ref = &sessions;
-            let map_ref = &map;
-            let store_ref = store.as_ref();
-            let run_one = |t: usize| -> Outcome {
-                let ran = catch_unwind(AssertUnwindSafe(|| {
-                    let mut guard = match sessions_ref[t].lock() {
-                        Ok(g) => g,
-                        Err(_) => return None,
-                    };
-                    let session = guard.as_mut()?;
-                    let e = session.run_epoch(config.epoch_len);
-                    match store_ref {
-                        Some(st) => session.publish_shared(map_ref, st, config.utility_evict),
-                        None => session.publish_occupancy(map_ref, config.utility_evict),
-                    }
-                    Some(e)
-                }));
-                match ran {
-                    Ok(Some(e)) => Outcome::Ran(e),
-                    _ => Outcome::Crashed,
-                }
-            };
-            if jobs <= 1 || active.len() <= 1 {
-                for &t in &active {
-                    outcomes[t] = Some(run_one(t));
-                }
-            } else {
-                let slots: Vec<Mutex<Option<Outcome>>> =
-                    active.iter().map(|_| Mutex::new(None)).collect();
-                let next = AtomicUsize::new(0);
-                let workers = jobs.min(active.len());
-                let active_ref = &active;
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| {
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&t) = active_ref.get(i) else { break };
-                                let o = run_one(t);
-                                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(o);
-                            }
-                        });
-                    }
-                });
-                for (i, &t) in active.iter().enumerate() {
-                    outcomes[t] = slots[i]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .take();
-                }
-            }
-        }
-
-        // --- Barrier: all cross-tenant decisions, serial --------------
-        map.end_round();
-        if let Some(store) = store.as_mut() {
+    /// One round: arrivals, admission, the parallel epochs, then the
+    /// serial barrier.
+    fn round(&mut self, jobs: usize) {
+        self.arrive();
+        self.admit();
+        let outcomes = self.run_epochs(jobs);
+        self.map.end_round();
+        if let Some(store) = self.store.as_mut() {
             store.end_round();
         }
-        for &t in &active {
-            if let Some(Outcome::Ran(e)) = outcomes[t] {
-                total_insts += e.insts;
-                ledgers[t].fold_epoch(&e);
-                // Feed the tenant's dip tracker in tenant order
-                // (`active` is sorted). Epochs that executed nothing
-                // say nothing about the cache and are skipped.
-                if e.insts > 0 {
-                    dips[t].on_epoch(e.hit_rate(), e.smc_invalidated > 0);
-                }
-            }
-        }
-
-        // Quarantine, departures, and churn events — all release their
-        // shard bytes before pressure resolves.
-        let ran = active.clone();
-        let mut still_active = Vec::with_capacity(active.len());
-        let mut finished_now: Vec<usize> = Vec::new();
-        for &t in &active {
-            match outcomes[t] {
-                None | Some(Outcome::Crashed) => {
-                    // The failure domain: the session panicked (or its
-                    // lock was poisoned). Contain it — keep whatever
-                    // consistent state the session reached for the
-                    // final report, take the tenant out of rotation,
-                    // and keep serving everyone else.
-                    sessions[t].clear_poison();
-                    if config.chaos.poison_tenant == Some(t as u16) {
-                        poison_spent = true;
-                    }
-                    map.clear_tenant(t as u16);
-                    if let Some(store) = store.as_mut() {
-                        store.release_tenant(t as u16);
-                    }
-                    if config.quarantine_penalty > 0 && !retried[t] {
-                        // Retry: tear the defective session down
-                        // entirely (its monotone counters fold into
-                        // the ledger — the work happened) and
-                        // re-admit fresh and cold after the penalty.
-                        // A second quarantine drops the tenant for
-                        // good.
-                        retried[t] = true;
-                        retry_pending[t] = true;
-                        quarantine_retries[t] += 1;
-                        q.quarantine_retries += 1;
-                        let slot = sessions[t]
-                            .get_mut()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        if let Some(session) = slot.take() {
-                            ledgers[t].fold_session(&session);
-                        }
-                        // The fresh engine restarts its learning;
-                        // decisions already logged stay logged, same
-                        // bookkeeping as a crash rewind.
-                        ledgers[t].forgotten_switches += engines[t].switches();
-                        engines[t] = PolicyEngine::new(tenant_policies[t].clone());
-                        checkpoints[t] = None;
-                        due.entry(round + config.quarantine_penalty)
-                            .or_default()
-                            .push(t);
-                        arrived_at[t] = round + config.quarantine_penalty;
-                    } else {
-                        ledgers[t].quarantined = true;
-                        finished_round[t] = round;
-                        live -= 1;
-                    }
-                }
-                Some(Outcome::Ran(_)) => {
-                    let finished = {
-                        let slot = sessions[t]
-                            .get_mut()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        slot.as_ref().is_some_and(|s| s.finished())
-                    };
-                    if finished {
-                        // The session is retained for the final report
-                        // and snapshot; only its shard bytes (and
-                        // store refs) release.
-                        finished_now.push(t);
-                        finished_round[t] = round;
-                        map.clear_tenant(t as u16);
-                        if let Some(store) = store.as_mut() {
-                            store.release_tenant(t as u16);
-                        }
-                        live -= 1;
-                        continue;
-                    }
-                    let event = lifecycles[t]
-                        .events
-                        .get(next_event[t])
-                        .copied()
-                        .filter(|e| e.at_epoch <= ledgers[t].epochs);
-                    match event {
-                        None => still_active.push(t),
-                        Some(ev) => {
-                            next_event[t] += 1;
-                            let slot = sessions[t]
-                                .get_mut()
-                                .unwrap_or_else(PoisonError::into_inner);
-                            if let Some(session) = slot.take() {
-                                match ev.kind {
-                                    LifecycleKind::Disconnect => {
-                                        // Graceful: checkpoint where the
-                                        // stream was cut, then depart.
-                                        ledgers[t].disconnects += 1;
-                                        let snap = freeze_tenant(&session, &engines[t]);
-                                        ledgers[t].checkpoints += 1;
-                                        ledgers[t].checkpoint_bytes = tenant_snapshot_bytes(&snap);
-                                        checkpoints[t] = Some(Checkpoint {
-                                            snap,
-                                            pos: session.pos(),
-                                            epoch: ledgers[t].epochs,
-                                        });
-                                        ledgers[t].fold_session(&session);
-                                    }
-                                    LifecycleKind::Crash => {
-                                        // Abrupt: everything since the
-                                        // last checkpoint is lost and
-                                        // will be re-executed.
-                                        ledgers[t].crashes += 1;
-                                        let cp_epoch =
-                                            checkpoints[t].as_ref().map_or(0, |c| c.epoch);
-                                        let lifetime = ledgers[t].epochs;
-                                        ledgers[t].recovered_epochs += lifetime - cp_epoch;
-                                        let cp_switches = checkpoints[t]
-                                            .as_ref()
-                                            .map_or(0, |c| c.snap.policy.switches);
-                                        ledgers[t].forgotten_switches +=
-                                            engines[t].switches() - cp_switches;
-                                        engines[t] = match checkpoints[t].as_ref() {
-                                            Some(c) => PolicyEngine::restore(
-                                                tenant_policies[t].clone(),
-                                                &c.snap.policy,
-                                            )
-                                            .unwrap_or_else(|| {
-                                                PolicyEngine::new(tenant_policies[t].clone())
-                                            }),
-                                            None => PolicyEngine::new(tenant_policies[t].clone()),
-                                        };
-                                        ledgers[t].fold_session(&session);
-                                    }
-                                }
-                            }
-                            map.clear_tenant(t as u16);
-                            if let Some(store) = store.as_mut() {
-                                store.release_tenant(t as u16);
-                            }
-                            due.entry(round + ev.gap).or_default().push(t);
-                            arrived_at[t] = round + ev.gap;
-                        }
-                    }
-                }
-            }
-        }
-        active = still_active;
-
-        // Shard pressure. In share mode the budget covers *unique*
-        // bytes and the store plans the wave: victim entries go
-        // largest-first, and evicting a shared entry drops it from
-        // every referencing tenant at once. Without sharing, each
-        // overflowing shard plans its whole victim set first (heaviest
-        // tenant sheds the oldest half of its regions there,
-        // repeatedly, until the shard fits), then applies it with a
-        // single eviction pass per victim tenant — the repeated cache
-        // rebuilds of per-batch eviction were quadratic in the region
-        // count.
-        if let Some(store) = store.as_mut() {
-            for shard in store.overflowing(config.shard_capacity) {
-                map.note_wave(shard);
-                let wave = store.plan_wave(shard, config.shard_capacity, config.utility_evict);
-                // Group the doomed keys by holder tenant; each victim
-                // tenant takes one eviction pass, in tenant order.
-                let mut by_tenant: BTreeMap<u16, Vec<u64>> = BTreeMap::new();
-                for (key, entry) in &wave {
-                    for &holder in &entry.holders {
-                        by_tenant.entry(holder).or_default().push(*key);
-                    }
-                }
-                for (tenant, keys) in &by_tenant {
-                    let (evicted, left, left_recent) = sessions[*tenant as usize]
-                        .get_mut()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .as_mut()
-                        .map(|s| s.evict_shared(shard, keys))
-                        .unwrap_or((0, 0, 0));
-                    map.note_shed(shard, evicted);
-                    map.set_load(shard, *tenant, left, left_recent);
-                    if config.utility_evict {
-                        utility_evicted[*tenant as usize] += evicted;
-                    }
-                }
-            }
-        } else if config.utility_evict {
-            for shard in map.overflowing() {
-                map.note_wave(shard);
-                // The shard's residents with their recent cached
-                // instructions, ascending tenant order.
-                let mut load = map.shard_load(shard);
-                let mut remaining: BTreeMap<u16, VecDeque<(RegionId, u64, u64)>> = BTreeMap::new();
-                let mut doomed: BTreeMap<u16, Vec<RegionId>> = BTreeMap::new();
-                let mut zeroed: Vec<u16> = Vec::new();
-                while load.iter().map(|&(_, b, _)| b).sum::<u64>() > map.capacity() {
-                    // Victim: most bytes per recent cached instruction
-                    // — cold bulk sheds before hot working sets. The
-                    // comparison cross-multiplies in u128 so no float
-                    // ever enters an eviction decision; ties go to the
-                    // larger footprint, then the lower tenant id (the
-                    // vec is tenant-ascending).
-                    let mut victim = 0usize;
-                    for (i, &(_, b, r)) in load.iter().enumerate() {
-                        let (_, vb, vr) = load[victim];
-                        let ui = b as u128 * (u128::from(vr) + 1);
-                        let uv = vb as u128 * (u128::from(r) + 1);
-                        if ui > uv || (ui == uv && b > vb) {
-                            victim = i;
-                        }
-                    }
-                    let tv = load[victim].0;
-                    if load[victim].1 == 0 {
-                        break; // nothing shedable is left in this shard
-                    }
-                    let regs = remaining.entry(tv).or_insert_with(|| {
-                        let mut regs = sessions[tv as usize]
-                            .get_mut()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .as_ref()
-                            .map(|s| s.shard_regions_with_heat(shard))
-                            .unwrap_or_default();
-                        // Most evictable first: highest bytes per
-                        // recent instruction; ties go to the lower
-                        // region id.
-                        regs.sort_unstable_by(|a, b| {
-                            let ua = a.1 as u128 * (u128::from(b.2) + 1);
-                            let ub = b.1 as u128 * (u128::from(a.2) + 1);
-                            ub.cmp(&ua).then(a.0.cmp(&b.0))
-                        });
-                        regs.into()
-                    });
-                    if regs.is_empty() {
-                        // The ledger says the tenant holds bytes here
-                        // but no live region backs them; zero the entry
-                        // so the wave cannot spin on it.
-                        load[victim].1 = 0;
-                        load[victim].2 = 0;
-                        zeroed.push(tv);
-                        map.note_shed(shard, 0);
-                        break;
-                    }
-                    let count = regs.len().div_ceil(2);
-                    for _ in 0..count {
-                        let (id, _, _) = regs.pop_front().expect("count <= len");
-                        doomed.entry(tv).or_default().push(id);
-                    }
-                    map.note_shed(shard, count as u64);
-                    utility_evicted[tv as usize] += count as u64;
-                    load[victim].1 = regs.iter().map(|&(_, b, _)| b).sum();
-                    load[victim].2 = regs.iter().map(|&(_, _, r)| r).sum();
-                }
-                // Apply the plan, one eviction pass per victim tenant.
-                let left: BTreeMap<u16, (u64, u64)> =
-                    load.iter().map(|&(t, b, r)| (t, (b, r))).collect();
-                for (t, ids) in &doomed {
-                    if !ids.is_empty() {
-                        let (b, r) = left[t];
-                        if let Some(session) = sessions[*t as usize]
-                            .get_mut()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .as_mut()
-                        {
-                            session.evict_planned(shard, ids, b);
-                        }
-                        map.set_load(shard, *t, b, r);
-                    }
-                }
-                for &t in &zeroed {
-                    map.set_load(shard, t, 0, 0);
-                }
-            }
-        } else {
-            for shard in map.overflowing() {
-                map.note_wave(shard);
-                // The shard's residents, ascending tenant order.
-                let mut bytes = map.shard_bytes(shard);
-                // Per-tenant surviving regions in the shard (fetched
-                // lazily; only victims pay the scan) and planned
-                // victims, keyed by tenant id.
-                let mut remaining: BTreeMap<u16, VecDeque<(RegionId, u64)>> = BTreeMap::new();
-                let mut doomed: BTreeMap<u16, Vec<RegionId>> = BTreeMap::new();
-                let mut zeroed: Vec<u16> = Vec::new();
-                while bytes.iter().map(|&(_, b)| b).sum::<u64>() > map.capacity() {
-                    // Heaviest resident; ties go to the lowest tenant
-                    // id (the vec is tenant-ascending).
-                    let mut victim = 0usize;
-                    for (i, &(_, b)) in bytes.iter().enumerate() {
-                        if b > bytes[victim].1 {
-                            victim = i;
-                        }
-                    }
-                    let tv = bytes[victim].0;
-                    if bytes[victim].1 == 0 {
-                        break; // nothing shedable is left in this shard
-                    }
-                    let regs = remaining.entry(tv).or_insert_with(|| {
-                        sessions[tv as usize]
-                            .get_mut()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .as_ref()
-                            .map(|s| s.shard_regions(shard).into())
-                            .unwrap_or_default()
-                    });
-                    if regs.is_empty() {
-                        // The ledger says the tenant holds bytes here
-                        // but no live region backs them; zero the entry
-                        // so the wave cannot spin on it.
-                        bytes[victim].1 = 0;
-                        zeroed.push(tv);
-                        map.note_shed(shard, 0);
-                        break;
-                    }
-                    let count = regs.len().div_ceil(2);
-                    for _ in 0..count {
-                        let (id, _) = regs.pop_front().expect("count <= len");
-                        doomed.entry(tv).or_default().push(id);
-                    }
-                    map.note_shed(shard, count as u64);
-                    bytes[victim].1 = regs.iter().map(|&(_, b)| b).sum();
-                }
-                // Apply the plan, one eviction pass per victim tenant.
-                let left: BTreeMap<u16, u64> = bytes.iter().copied().collect();
-                for (t, ids) in &doomed {
-                    if !ids.is_empty() {
-                        if let Some(session) = sessions[*t as usize]
-                            .get_mut()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .as_mut()
-                        {
-                            session.evict_planned(shard, ids, left[t]);
-                        }
-                        map.set_bytes(shard, *t, left[t]);
-                    }
-                }
-                for &t in &zeroed {
-                    map.set_bytes(shard, t, 0);
-                }
-            }
-        }
-        if let Some(store) = store.as_mut() {
-            store.check_invariants();
-            debug_check_consistency(store, &mut map);
-        }
-
-        // Policy decisions, tenant order. Stream-adaptive policies
-        // also feed the final epoch of tenants that finished this
-        // round: a short stream's last explore epoch is often its
-        // last epoch, and without this decision the engine would
-        // never reach exploit (leaving `first_exploit_round` null for
-        // a tenant that did learn a best selector).
-        if config.adaptive {
-            let deciders: Vec<usize> = if config.policy.adaptive && !finished_now.is_empty() {
-                let mut d = active.clone();
-                d.extend(finished_now.iter().copied());
-                d.sort_unstable();
-                d
-            } else {
-                active.clone()
-            };
-            for &t in &deciders {
-                let e = match outcomes[t] {
-                    Some(Outcome::Ran(e)) => e,
-                    _ => continue,
-                };
-                let decision = engines[t].on_epoch(&e);
-                if let Some((kind, reason)) = decision {
-                    let lifetime = ledgers[t].epochs;
-                    if let Some(session) = sessions[t]
-                        .get_mut()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .as_mut()
-                    {
-                        switches.push(SwitchRecord {
-                            tenant: t as u16,
-                            workload: session.workload(),
-                            epoch: lifetime,
-                            from: session.kind(),
-                            to: kind,
-                            reason,
-                        });
-                        session.switch_selector(kind, &sim_configs[t]);
-                    }
-                }
-            }
-        }
-
-        // Periodic checkpoints — what crash recovery rewinds to. Taken
-        // after policy decisions so a checkpoint never resurrects a
-        // selector the engine just abandoned.
-        if config.checkpoint_every > 0 && (round + 1).is_multiple_of(config.checkpoint_every) {
-            for &t in &active {
-                if let Some(session) = sessions[t]
-                    .get_mut()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .as_ref()
-                {
-                    let snap = freeze_tenant(session, &engines[t]);
-                    ledgers[t].checkpoints += 1;
-                    ledgers[t].checkpoint_bytes = tenant_snapshot_bytes(&snap);
-                    checkpoints[t] = Some(Checkpoint {
-                        snap,
-                        pos: session.pos(),
-                        epoch: ledgers[t].epochs,
-                    });
-                }
-            }
-        }
-
+        let ran = std::mem::take(&mut self.active);
+        let deciders = self.settle(&ran, &outcomes);
+        self.relieve_pressure();
+        self.decide(&deciders);
+        self.checkpoint_round();
         // First round at which each tenant's engine was exploiting —
         // for warm-restored engines already past exploration, that is
         // their first active round (even if they also finish in it).
         for &t in &ran {
-            if first_exploit_round[t].is_none() && engines[t].exploiting() {
-                first_exploit_round[t] = Some(round);
+            let tenant = &mut self.tenants[t];
+            if tenant.first_exploit_round.is_none() && tenant.engine.exploiting() {
+                tenant.first_exploit_round = Some(self.round);
             }
         }
-
-        round += 1;
+        self.round += 1;
     }
-    q.rounds = round;
 
-    // --- Assemble the deterministic reports --------------------------
-    let mut tenants = Vec::with_capacity(specs.len());
-    let mut run_reports = Vec::with_capacity(specs.len());
-    let mut snapshot_tenants = Vec::with_capacity(specs.len());
-    let mut shard_smc = vec![0u64; config.shard_count];
-    for (t, cell) in sessions.iter_mut().enumerate() {
-        let slot = cell.get_mut().unwrap_or_else(PoisonError::into_inner);
-        // Every tenant ends holding a session (finished and
-        // quarantined sessions are retained); materialize an empty one
-        // defensively if that invariant ever breaks.
-        let session = slot.get_or_insert_with(|| {
-            TenantSession::new(
-                t as u16,
-                &specs[t],
-                engines[t].current(),
-                &sim_configs[t],
-                config.shard_count,
-            )
-        });
-        ledgers[t].fold_session(session);
-        // The engine is the authority on its own switch count; the
-        // global log (plus any decisions a crash rewound past) must
-        // agree with it.
-        debug_assert_eq!(
-            engines[t].switches() + ledgers[t].forgotten_switches,
-            switches.iter().filter(|s| s.tenant == t as u16).count() as u64
-                + warm_slots[t].map_or(0, |ts| ts.policy.switches),
-            "engine switch count drifted from the switch log"
-        );
-        for (s, &n) in ledgers[t].smc_by_shard.iter().enumerate() {
-            shard_smc[s] += n;
+    /// Moves every tenant due by this round onto the pending line, in
+    /// tenant order.
+    fn arrive(&mut self) {
+        let later = self.due.split_off(&(self.round + 1));
+        let mut arrivals: Vec<usize> = std::mem::replace(&mut self.due, later)
+            .into_values()
+            .flatten()
+            .collect();
+        arrivals.sort_unstable();
+        for t in arrivals {
+            if !self.tenants[t].quarantined {
+                self.pending.push_back(t);
+            }
         }
-        let dip = std::mem::take(&mut dips[t]).finish();
-        let led = &ledgers[t];
-        tenants.push(TenantSummary {
-            tenant: t as u16,
-            workload: session.workload(),
-            final_selector: session.kind().name(),
-            epochs: led.epochs,
-            switches: engines[t].switches() + led.forgotten_switches,
-            admitted: was_admitted[t],
-            admitted_round: admitted_round[t],
-            admission_wait: admission_wait[t],
-            finished_round: finished_round[t],
-            first_exploit_round: first_exploit_round[t],
-            total_insts: led.total_insts,
-            cache_insts: led.cache_insts,
-            insts_selected: led.insts_selected,
-            regions_selected: led.regions_selected,
-            pressure_evicted: led.pressure_evicted,
-            utility_evictions: utility_evicted[t],
-            policy_features: tenant_features[t],
-            smc_events: led.smc_events,
-            smc_invalidated: led.smc_invalidated,
-            reformations: led.reformations,
-            blacklisted_targets: led.blacklisted_targets,
-            blacklist_hits: led.blacklist_hits,
-            disconnects: led.disconnects,
-            reconnects: led.reconnects,
-            crashes: led.crashes,
-            recovered_epochs: led.recovered_epochs,
-            checkpoints: led.checkpoints,
-            checkpoint_bytes: led.checkpoint_bytes,
-            quarantined: led.quarantined,
-            quarantine_retries: quarantine_retries[t],
-            smc_dips: dip.dips,
-            max_dip_depth: dip.max_depth,
-            max_dip_recovery_epochs: dip.max_recovery_epochs,
-        });
-        run_reports.push(session.report());
-        snapshot_tenants.push(freeze_tenant(session, &engines[t]));
     }
-    let store_totals = store.as_ref().map(|s| s.totals()).unwrap_or_default();
-    let store_stats: Vec<StoreShardStats> = match store {
-        Some(s) => s.into_stats(),
-        None => vec![StoreShardStats::default(); config.shard_count],
-    };
-    let shards = map
-        .into_stats()
-        .into_iter()
-        .enumerate()
-        .map(|(i, (s, final_bytes))| ShardReport {
-            shard: i,
-            peak_bytes: s.peak_bytes,
-            contended_rounds: s.contended_rounds,
-            pressure_waves: s.pressure_waves,
-            shed_actions: s.shed_actions,
-            evicted_regions: s.evicted_regions,
-            smc_invalidated: shard_smc[i],
-            final_bytes,
-            unique_bytes: store_stats[i].peak_unique_bytes,
-            logical_bytes: store_stats[i].peak_logical_bytes,
-            shared_refs: store_stats[i].peak_shared_refs,
-        })
-        .collect();
 
-    Ok(ServeOutcome {
-        report: ServeReport {
-            epoch_len: config.epoch_len,
-            shard_count: config.shard_count,
-            shard_capacity: config.shard_capacity,
-            max_active: config.max_active,
-            queue_capacity: config.queue_capacity,
-            warm_started: warm.is_some(),
-            warm_regions_restored,
-            warm_rejected_tenants,
-            smc_write_ppm: config.sim.faults.smc_write_ppm,
-            fault_seed: config.sim.faults.seed,
-            flush_wave_ppm: config.sim.faults.flush_wave_ppm,
-            counter_fault_ppm: config.sim.faults.counter_fault_ppm,
-            churn_active: config.churn.active(),
-            churn_seed: config.churn.seed,
-            checkpoint_every: config.checkpoint_every,
-            share_active: config.share,
-            unique_bytes: store_totals.unique_bytes,
-            logical_bytes: store_totals.logical_bytes,
-            shared_refs: store_totals.shared_refs,
-            queue: q,
-            tenants,
-            shards,
-            switches,
-            total_insts,
-            insts_per_sec: None,
-        },
-        run_reports,
-        snapshot: ServeSnapshot {
-            tenants: snapshot_tenants,
-        },
-    })
+    /// Tops the bounded queue up from the pending line.
+    fn fill_queue(&mut self) {
+        let room = self.config.queue_capacity.saturating_sub(self.queue.len());
+        let n = room.min(self.pending.len());
+        self.queue.extend(self.pending.drain(..n));
+    }
+
+    /// Admits up to the active limit, sheds arrivals stuck past the
+    /// admission timeout, and samples the queue statistics.
+    fn admit(&mut self) {
+        let free = self.config.max_active - self.active.len();
+        let to_admit: Vec<usize> = if self.config.queue_capacity == 0 {
+            // A zero-capacity queue buffers nothing: arrivals are
+            // admitted directly up to the active limit. (Routing them
+            // through the queue would livelock — nothing could ever
+            // enter a queue that holds zero tenants.)
+            let n = free.min(self.pending.len());
+            self.pending.drain(..n).collect()
+        } else {
+            self.fill_queue();
+            let n = free.min(self.queue.len());
+            let admitted = self.queue.drain(..n).collect();
+            // Arrivals keep the bounded queue full while the round
+            // runs; whoever does not fit is deferred behind it
+            // (backpressure).
+            self.fill_queue();
+            admitted
+        };
+        let round = self.round;
+        for t in to_admit {
+            let tenant = &mut self.tenants[t];
+            if slot(&mut tenant.session).is_none() {
+                let session = tenant.reopen(t, self.config);
+                *slot(&mut tenant.session) = Some(session);
+            }
+            if self.config.chaos.poison_tenant == Some(t as u16) && !self.poison_spent {
+                // The pill fires at a *lifetime* epoch; a session that
+                // starts mid-life arms the remainder.
+                let remaining = self.config.chaos.poison_epoch.saturating_sub(tenant.epochs);
+                if let Some(session) = slot(&mut tenant.session).as_mut() {
+                    session.poison_after(remaining);
+                }
+            }
+            // Reconnects and quarantine retries were counted when they
+            // were booked; only a first admission records anything.
+            let wait = round - tenant.arrived_at;
+            tenant.admitted.get_or_insert((round, wait));
+            // Every admission (first, reconnect, retry) lands one
+            // sample in the log2 wait histogram.
+            self.q.admission_wait_hist[wait_bucket(wait)] += 1;
+            tenant.waiting_rounds = 0;
+            self.active.push(t);
+            self.q.admissions += 1;
+        }
+        // Overload shedding: arrivals stuck behind the queue past the
+        // timeout are pushed back out and retry after an exponential
+        // backoff, instead of convoying forever.
+        let timeout = self.config.admission_timeout;
+        if timeout > 0 {
+            self.pending.retain(|&t| {
+                let tenant = &mut self.tenants[t];
+                tenant.waiting_rounds += 1;
+                if tenant.waiting_rounds < timeout {
+                    return true;
+                }
+                // A shed tenant is still owed service, so its retry
+                // always arrives before the run ends: count it now.
+                self.q.shed_arrivals += 1;
+                self.q.admission_retries += 1;
+                tenant.waiting_rounds = 0;
+                self.due.entry(round + tenant.backoff).or_default().push(t);
+                tenant.backoff = (tenant.backoff * 2).min(64);
+                false
+            });
+        }
+        self.active.sort_unstable();
+        let q = &mut self.q;
+        q.peak_active = q.peak_active.max(self.active.len() as u64);
+        q.peak_queue_depth = q.peak_queue_depth.max(self.queue.len() as u64);
+        q.queued_tenant_rounds += self.queue.len() as u64;
+        q.deferred_tenant_rounds += self.pending.len() as u64;
+    }
+
+    /// Runs one epoch of every active session on up to `jobs` worker
+    /// threads, inside the failure domain: a panic (e.g. a poison
+    /// pill) or an already-poisoned lock yields `Crashed` for the
+    /// barrier to quarantine; nothing unwinds past here, on any
+    /// worker. Outcomes come back in `active` order.
+    fn run_epochs(&self, jobs: usize) -> Vec<Outcome> {
+        let utility = self.config.utility_evict;
+        let run_one = |t: usize| -> Outcome {
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                let mut guard = self.tenants[t].session.lock().ok()?;
+                let session = guard.as_mut()?;
+                let e = session.run_epoch(self.config.epoch_len);
+                match &self.store {
+                    Some(store) => session.publish_shared(&self.map, store, utility),
+                    None => session.publish_occupancy(&self.map, utility),
+                }
+                Some(e)
+            }));
+            match ran {
+                Ok(Some(e)) => Outcome::Ran(e),
+                _ => Outcome::Crashed,
+            }
+        };
+        if jobs <= 1 || self.active.len() <= 1 {
+            return self.active.iter().map(|&t| run_one(t)).collect();
+        }
+        let slots: Vec<Mutex<Option<Outcome>>> =
+            self.active.iter().map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..jobs.min(self.active.len()) {
+                scope.spawn(|| {
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&t) = self.active.get(i) else { break };
+                        let o = run_one(t);
+                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(o);
+                    }
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|s| {
+                s.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .unwrap_or(Outcome::Crashed)
+            })
+            .collect()
+    }
+
+    /// Barrier: folds each epoch that ran, then quarantines, retires,
+    /// or churns every tenant that ran, and re-forms the active set
+    /// from the rest. Returns the epochs the policy engines decide on,
+    /// in tenant order: those of tenants still active, plus — under a
+    /// stream-adaptive policy — the final epoch of tenants that just
+    /// finished (a short stream's last explore epoch is often its last
+    /// epoch, and without that decision the engine would never reach
+    /// exploit).
+    fn settle(&mut self, ran: &[usize], outcomes: &[Outcome]) -> Vec<(usize, EpochStats)> {
+        let mut deciders = Vec::with_capacity(ran.len());
+        for (&t, &outcome) in ran.iter().zip(outcomes) {
+            let Outcome::Ran(e) = outcome else {
+                self.quarantine(t);
+                continue;
+            };
+            self.total_insts += e.insts;
+            let tenant = &mut self.tenants[t];
+            tenant.fold_epoch(&e);
+            if slot(&mut tenant.session)
+                .as_ref()
+                .is_some_and(|s| s.finished())
+            {
+                // The session is kept for the final report and
+                // snapshot; only its shard bytes (and store refs) go.
+                tenant.finished_round = self.round;
+                self.release(t);
+                self.live -= 1;
+                if self.config.policy.adaptive {
+                    deciders.push((t, e));
+                }
+                continue;
+            }
+            match tenant
+                .events
+                .front()
+                .filter(|ev| ev.at_epoch <= tenant.epochs)
+            {
+                Some(&ev) => self.depart(t, ev),
+                None => {
+                    self.active.push(t);
+                    deciders.push((t, e));
+                }
+            }
+        }
+        deciders
+    }
+
+    /// Releases a departing tenant's shard bytes and store refs.
+    fn release(&mut self, t: usize) {
+        self.map.clear_tenant(t as u16);
+        if let Some(store) = self.store.as_mut() {
+            store.release_tenant(t as u16);
+        }
+    }
+
+    /// The failure domain: tenant `t`'s session panicked (or its lock
+    /// was poisoned). Whatever consistent state it reached stays for
+    /// the final report; the tenant leaves rotation — for good, or
+    /// until its one cold retry — and everyone else keeps serving.
+    fn quarantine(&mut self, t: usize) {
+        self.release(t);
+        if self.config.chaos.poison_tenant == Some(t as u16) {
+            self.poison_spent = true;
+        }
+        let round = self.round;
+        let penalty = self.config.quarantine_penalty;
+        let tenant = &mut self.tenants[t];
+        tenant.session.clear_poison();
+        if penalty == 0 || tenant.quarantine_retries > 0 {
+            tenant.quarantined = true;
+            tenant.finished_round = round;
+            self.live -= 1;
+            return;
+        }
+        // Retry: tear the defective session down entirely (its
+        // monotone counters fold in — the work happened), rewind the
+        // engine to a fresh start, and re-admit cold after the
+        // penalty. A second quarantine drops the tenant for good.
+        tenant.quarantine_retries += 1;
+        self.q.quarantine_retries += 1;
+        if let Some(session) = slot(&mut tenant.session).take() {
+            tenant.fold_session(&session, &mut self.shard_smc);
+        }
+        tenant.checkpoint = None;
+        tenant.rewind_engine();
+        tenant.arrived_at = round + penalty;
+        self.due.entry(tenant.arrived_at).or_default().push(t);
+    }
+
+    /// Applies tenant `t`'s due churn event: a graceful disconnect
+    /// checkpoints where the stream was cut, a crash loses everything
+    /// since the last checkpoint (re-executed after recovery). Either
+    /// way the session is torn down and the tenant comes back after
+    /// the event's gap.
+    fn depart(&mut self, t: usize, ev: LifecycleEvent) {
+        self.release(t);
+        let tenant = &mut self.tenants[t];
+        tenant.events.pop_front();
+        match ev.kind {
+            LifecycleKind::Disconnect => {
+                tenant.disconnects += 1;
+                tenant.checkpoint();
+            }
+            LifecycleKind::Crash => {
+                tenant.crashes += 1;
+                let cp_epoch = tenant.checkpoint.as_ref().map_or(0, |c| c.epoch);
+                tenant.recovered_epochs += tenant.epochs - cp_epoch;
+                tenant.rewind_engine();
+            }
+        }
+        if let Some(session) = slot(&mut tenant.session).take() {
+            tenant.fold_session(&session, &mut self.shard_smc);
+        }
+        // A departed tenant is still owed service, so it always
+        // reconnects before the run ends: count the reconnect now.
+        tenant.reconnects += 1;
+        tenant.arrived_at = self.round + ev.gap;
+        self.due.entry(tenant.arrived_at).or_default().push(t);
+    }
+
+    /// Barrier: resolves every overflowing shard. In share mode the
+    /// budget covers *unique* bytes and the store plans each wave —
+    /// evicting a shared entry drops it from every referencing tenant
+    /// at once; otherwise [`Scheduler::relieve_shard`] plans it.
+    fn relieve_pressure(&mut self) {
+        let (capacity, utility) = (self.config.shard_capacity, self.config.utility_evict);
+        let Some(store) = self.store.as_mut() else {
+            for shard in self.map.overflowing() {
+                self.relieve_shard(shard);
+            }
+            return;
+        };
+        for shard in store.overflowing(capacity) {
+            self.map.note_wave(shard);
+            // Group the doomed keys by holder tenant; each victim
+            // tenant takes one eviction pass, in tenant order.
+            let mut by_tenant: BTreeMap<u16, Vec<u64>> = BTreeMap::new();
+            for (key, entry) in &store.plan_wave(shard, capacity, utility) {
+                for &holder in &entry.holders {
+                    by_tenant.entry(holder).or_default().push(*key);
+                }
+            }
+            for (t, keys) in by_tenant {
+                let tenant = &mut self.tenants[t as usize];
+                let (evicted, left, left_recent) = slot(&mut tenant.session)
+                    .as_mut()
+                    .map_or((0, 0, 0), |s| s.evict_shared(shard, &keys));
+                self.map.note_shed(shard, evicted);
+                self.map.set_load(shard, t, left, left_recent);
+                if utility {
+                    tenant.utility_evictions += evicted;
+                }
+            }
+        }
+        store.check_invariants();
+        debug_check_consistency(store, &mut self.map);
+    }
+
+    /// The pressure planner for one overflowing unshared shard: the
+    /// top-ranked resident ([`outranks`]) sheds the first half of its
+    /// remaining regions there — in selection order, or most evictable
+    /// first under utility eviction — repeatedly, until the shard
+    /// fits. The whole victim set is planned before anything is
+    /// evicted, then applied with one eviction pass per victim tenant:
+    /// the repeated cache rebuilds of per-batch eviction were
+    /// quadratic in the region count.
+    fn relieve_shard(&mut self, shard: usize) {
+        let utility = self.config.utility_evict;
+        self.map.note_wave(shard);
+        // The shard's residents `(tenant, bytes, recent heat)`,
+        // ascending tenant order.
+        let mut load = self.map.shard_load(shard);
+        // Per-victim surviving regions (fetched lazily; only victims
+        // pay the scan) and planned evictions.
+        let mut remaining: BTreeMap<u16, VecDeque<(RegionId, u64, u64)>> = BTreeMap::new();
+        let mut doomed: BTreeMap<u16, Vec<RegionId>> = BTreeMap::new();
+        while load.iter().map(|l| l.1).sum::<u64>() > self.map.capacity() {
+            // Ties go to the lowest tenant id (the vec is ascending).
+            let victim = (0..load.len()).fold(0, |v, i| {
+                if outranks(utility, load[i], load[v]) {
+                    i
+                } else {
+                    v
+                }
+            });
+            let (tv, bytes, _) = load[victim];
+            if bytes == 0 {
+                break; // nothing shedable is left in this shard
+            }
+            let regs = remaining.entry(tv).or_insert_with(|| {
+                let mut regs = slot(&mut self.tenants[tv as usize].session)
+                    .as_ref()
+                    .map(|s| s.shard_regions_with_heat(shard))
+                    .unwrap_or_default();
+                if utility {
+                    // Most evictable first: highest bytes per recent
+                    // instruction; ties go to the lower region id.
+                    regs.sort_unstable_by(|a, b| {
+                        let ua = a.1 as u128 * (u128::from(b.2) + 1);
+                        let ub = b.1 as u128 * (u128::from(a.2) + 1);
+                        ub.cmp(&ua).then(a.0.cmp(&b.0))
+                    });
+                }
+                regs.into()
+            });
+            let plan = doomed.entry(tv).or_default();
+            if regs.is_empty() {
+                // The map says the tenant holds bytes here but no live
+                // region backs them; zero the entry so the wave cannot
+                // spin on it.
+                load[victim] = (tv, 0, 0);
+                self.map.note_shed(shard, 0);
+                break;
+            }
+            let count = regs.len().div_ceil(2);
+            plan.extend(regs.drain(..count).map(|r| r.0));
+            self.map.note_shed(shard, count as u64);
+            if utility {
+                self.tenants[tv as usize].utility_evictions += count as u64;
+            }
+            load[victim].1 = regs.iter().map(|r| r.1).sum();
+            load[victim].2 = regs.iter().map(|r| r.2).sum();
+        }
+        // Apply the plan, one eviction pass per victim tenant, and
+        // publish what each victim has left.
+        for (t, bytes, recent) in load {
+            let Some(ids) = doomed.get(&t) else { continue };
+            if !ids.is_empty() {
+                if let Some(session) = slot(&mut self.tenants[t as usize].session).as_mut() {
+                    session.evict_planned(shard, ids, bytes);
+                }
+            }
+            self.map.set_load(shard, t, bytes, recent);
+        }
+    }
+
+    /// Barrier: feeds each decider's epoch to its policy engine, in
+    /// tenant order, and applies (and logs) the switches it decides.
+    fn decide(&mut self, deciders: &[(usize, EpochStats)]) {
+        for &(t, e) in deciders {
+            let tenant = &mut self.tenants[t];
+            let Some((kind, reason)) = tenant.engine.on_epoch(&e) else {
+                continue;
+            };
+            if let Some(session) = slot(&mut tenant.session).as_mut() {
+                self.switches.push(SwitchRecord {
+                    tenant: t as u16,
+                    workload: session.workload(),
+                    epoch: tenant.epochs,
+                    from: session.kind(),
+                    to: kind,
+                    reason,
+                });
+                session.switch_selector(kind, &tenant.sim);
+            }
+        }
+    }
+
+    /// Barrier: periodic checkpoints — what crash recovery rewinds to.
+    /// Taken after policy decisions so a checkpoint never resurrects a
+    /// selector the engine just abandoned.
+    fn checkpoint_round(&mut self) {
+        let every = self.config.checkpoint_every;
+        if every > 0 && (self.round + 1).is_multiple_of(every) {
+            for &t in &self.active {
+                self.tenants[t].checkpoint();
+            }
+        }
+    }
+
+    /// Assembles the deterministic reports and the final snapshot.
+    fn into_outcome(mut self) -> ServeOutcome {
+        let config = self.config;
+        self.q.rounds = self.round;
+        let mut tenants = Vec::with_capacity(self.tenants.len());
+        let mut run_reports = Vec::with_capacity(self.tenants.len());
+        let mut snapshot_tenants = Vec::with_capacity(self.tenants.len());
+        for (t, mut tenant) in std::mem::take(&mut self.tenants).into_iter().enumerate() {
+            let id = t as u16;
+            // Every tenant ends holding a session (finished and
+            // quarantined sessions are retained); materialize an empty
+            // one defensively if that invariant ever breaks.
+            let session = slot(&mut tenant.session).take().unwrap_or_else(|| {
+                TenantSession::new(
+                    id,
+                    tenant.spec,
+                    tenant.engine.current(),
+                    &tenant.sim,
+                    config.shard_count,
+                )
+            });
+            tenant.fold_session(&session, &mut self.shard_smc);
+            // The engine is the authority on its own switch count; the
+            // global log (plus any decisions a rewind forgot) must
+            // agree with it.
+            debug_assert_eq!(
+                tenant.engine.switches() + tenant.forgotten_switches,
+                self.switches.iter().filter(|s| s.tenant == id).count() as u64
+                    + self
+                        .warm
+                        .and_then(|w| w.tenants[t].as_ref())
+                        .map_or(0, |ts| ts.policy.switches),
+                "engine switch count drifted from the switch log"
+            );
+            let dip = tenant.dips.finish();
+            let (admitted_round, admission_wait) = tenant.admitted.unwrap_or_default();
+            tenants.push(TenantSummary {
+                tenant: id,
+                workload: session.workload(),
+                final_selector: session.kind().name(),
+                epochs: tenant.epochs,
+                switches: tenant.engine.switches() + tenant.forgotten_switches,
+                admitted: tenant.admitted.is_some(),
+                admitted_round,
+                admission_wait,
+                finished_round: tenant.finished_round,
+                first_exploit_round: tenant.first_exploit_round,
+                total_insts: tenant.total_insts,
+                cache_insts: tenant.cache_insts,
+                insts_selected: tenant.insts_selected,
+                regions_selected: tenant.regions_selected,
+                pressure_evicted: tenant.pressure_evicted,
+                utility_evictions: tenant.utility_evictions,
+                policy_features: tenant.features,
+                smc_events: tenant.smc_events,
+                smc_invalidated: tenant.smc_invalidated,
+                reformations: tenant.reformations,
+                blacklisted_targets: tenant.blacklisted_targets,
+                blacklist_hits: tenant.blacklist_hits,
+                disconnects: tenant.disconnects,
+                reconnects: tenant.reconnects,
+                crashes: tenant.crashes,
+                recovered_epochs: tenant.recovered_epochs,
+                checkpoints: tenant.checkpoints,
+                checkpoint_bytes: tenant.checkpoint_bytes,
+                quarantined: tenant.quarantined,
+                quarantine_retries: tenant.quarantine_retries,
+                smc_dips: dip.dips,
+                max_dip_depth: dip.max_depth,
+                max_dip_recovery_epochs: dip.max_recovery_epochs,
+            });
+            run_reports.push(session.report());
+            snapshot_tenants.push(freeze_tenant(&session, &tenant.engine));
+        }
+        let store_totals = self.store.as_ref().map(|s| s.totals()).unwrap_or_default();
+        let store_stats: Vec<StoreShardStats> = match self.store {
+            Some(s) => s.into_stats(),
+            None => vec![StoreShardStats::default(); config.shard_count],
+        };
+        let shards = self
+            .map
+            .into_stats()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (s, final_bytes))| ShardReport {
+                shard: i,
+                peak_bytes: s.peak_bytes,
+                contended_rounds: s.contended_rounds,
+                pressure_waves: s.pressure_waves,
+                shed_actions: s.shed_actions,
+                evicted_regions: s.evicted_regions,
+                smc_invalidated: self.shard_smc[i],
+                final_bytes,
+                unique_bytes: store_stats[i].peak_unique_bytes,
+                logical_bytes: store_stats[i].peak_logical_bytes,
+                shared_refs: store_stats[i].peak_shared_refs,
+            })
+            .collect();
+
+        ServeOutcome {
+            report: ServeReport {
+                epoch_len: config.epoch_len,
+                shard_count: config.shard_count,
+                shard_capacity: config.shard_capacity,
+                max_active: config.max_active,
+                queue_capacity: config.queue_capacity,
+                warm_started: self.warm.is_some(),
+                warm_regions_restored: self.warm.map_or(0, WarmStart::region_count),
+                warm_rejected_tenants: self.warm.map_or(0, |w| w.rejected),
+                smc_write_ppm: config.sim.faults.smc_write_ppm,
+                fault_seed: config.sim.faults.seed,
+                flush_wave_ppm: config.sim.faults.flush_wave_ppm,
+                counter_fault_ppm: config.sim.faults.counter_fault_ppm,
+                churn_active: config.churn.active(),
+                churn_seed: config.churn.seed,
+                checkpoint_every: config.checkpoint_every,
+                share_active: config.share,
+                unique_bytes: store_totals.unique_bytes,
+                logical_bytes: store_totals.logical_bytes,
+                shared_refs: store_totals.shared_refs,
+                queue: self.q,
+                tenants,
+                shards,
+                switches: self.switches,
+                total_insts: self.total_insts,
+                insts_per_sec: None,
+            },
+            run_reports,
+            snapshot: ServeSnapshot {
+                tenants: snapshot_tenants,
+            },
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1396,9 +1318,14 @@ mod tests {
 
     #[test]
     fn static_mode_never_switches() {
+        // Static serving is a one-candidate pool: the engine scores its
+        // only selector and settles on it.
         let specs = two_specs();
         let config = ServeConfig {
-            adaptive: false,
+            policy: PolicyConfig {
+                candidates: vec![rsel_core::select::SelectorKind::Net],
+                ..PolicyConfig::default()
+            },
             ..ServeConfig::default()
         };
         let out = serve(&specs, &config, 1).unwrap();
@@ -1476,7 +1403,8 @@ mod tests {
         let specs = two_specs();
         let config = ServeConfig::default();
         let cold = serve(&specs, &config, 1).unwrap();
-        let warm = serve_with(&specs, &config, 1, Some(&cold.snapshot)).unwrap();
+        let warm =
+            serve_warm(&specs, &config, 1, &cold.snapshot.clone().into_warm_start()).unwrap();
         assert!(warm.report.warm_started);
         assert!(!cold.report.warm_started);
         assert_eq!(cold.report.warm_regions_restored, 0);
@@ -1584,7 +1512,8 @@ mod tests {
                 .any(|t| !t.blacklist.is_empty()),
             "demotions persist in the snapshot"
         );
-        let warm = serve_with(&specs, &config, 2, Some(&cold.snapshot)).unwrap();
+        let warm =
+            serve_warm(&specs, &config, 2, &cold.snapshot.clone().into_warm_start()).unwrap();
         assert!(warm.report.warm_started);
         assert_eq!(warm.report.warm_rejected_tenants, 0);
     }
@@ -1631,7 +1560,7 @@ mod tests {
         let cold = serve(&specs, &config, 1).unwrap();
         let mut snap = cold.snapshot;
         snap.tenants.pop();
-        let err = serve_with(&specs, &config, 1, Some(&snap)).unwrap_err();
+        let err = serve_warm(&specs, &config, 1, &snap.clone().into_warm_start()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1715,8 +1644,9 @@ mod tests {
         let specs = two_specs();
         let calm = serve(&specs, &ServeConfig::default(), 1).unwrap();
         let config = churn_config();
-        let one = serve_with(&specs, &config, 1, Some(&calm.snapshot)).unwrap();
-        let eight = serve_with(&specs, &config, 8, Some(&calm.snapshot)).unwrap();
+        let warm = calm.snapshot.clone().into_warm_start();
+        let one = serve_warm(&specs, &config, 1, &warm).unwrap();
+        let eight = serve_warm(&specs, &config, 8, &warm).unwrap();
         assert_eq!(one.report, eight.report);
         assert_eq!(one.run_reports, eight.run_reports);
         assert_eq!(one.snapshot, eight.snapshot);
@@ -1914,8 +1844,9 @@ mod tests {
             ..ServeConfig::default()
         };
         let cold = serve(&specs, &config, 1).unwrap();
-        let warm1 = serve_with(&specs, &config, 1, Some(&cold.snapshot)).unwrap();
-        let warm8 = serve_with(&specs, &config, 8, Some(&cold.snapshot)).unwrap();
+        let warm = cold.snapshot.clone().into_warm_start();
+        let warm1 = serve_warm(&specs, &config, 1, &warm).unwrap();
+        let warm8 = serve_warm(&specs, &config, 8, &warm).unwrap();
         assert_eq!(warm1.report, warm8.report);
         assert_eq!(warm1.run_reports, warm8.run_reports);
         assert_eq!(warm1.snapshot, warm8.snapshot);

@@ -171,31 +171,8 @@ impl SharedCacheMap {
             .collect()
     }
 
-    /// Barrier: the resident tenants of `shard` and their bytes, in
-    /// ascending tenant order. Zero-byte tenants are absent.
-    pub fn shard_bytes(&mut self, shard: usize) -> Vec<(u16, u64)> {
-        self.slots[shard]
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .bytes
-            .iter()
-            .map(|(&t, &b)| (t, b))
-            .collect()
-    }
-
-    /// Barrier: overwrites one tenant's byte total in `shard` (zero
-    /// removes the tenant from the slot). The tenant's recent-heat
-    /// figure is left as published (dropped with the slot at zero).
-    pub fn set_bytes(&mut self, shard: usize, tenant: u16, bytes: u64) {
-        let slot = self.slots[shard]
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        let recent = slot.recent.get(&tenant).copied().unwrap_or(0);
-        slot.set(tenant, bytes, recent);
-    }
-
-    /// Barrier: the resident tenants of `shard` with bytes *and*
-    /// recent heat, in ascending tenant order — the utility planner's
+    /// Barrier: the resident tenants of `shard` with their bytes and
+    /// recent heat, in ascending tenant order — the pressure planner's
     /// view. Zero-byte tenants are absent; a tenant that never
     /// published heat reads as zero.
     pub fn shard_load(&mut self, shard: usize) -> Vec<(u16, u64, u64)> {
@@ -289,12 +266,11 @@ mod tests {
         map.publish(2, &[(2, 10, 0)]);
         map.end_round();
         assert_eq!(map.overflowing(), vec![1]);
-        assert_eq!(map.shard_bytes(1), vec![(0, 60), (1, 70)]);
         assert_eq!(map.shard_load(1), vec![(0, 60, 600), (1, 70, 70)]);
         // Shard 1 saw two tenants this round; shard 2 only one.
         let stats = {
-            map.set_bytes(1, 1, 0);
-            assert_eq!(map.shard_bytes(1), vec![(0, 60)], "zero bytes drop out");
+            map.set_load(1, 1, 0, 0);
+            assert_eq!(map.shard_load(1), vec![(0, 60, 600)], "zero bytes drop out");
             assert_eq!(map.overflowing(), Vec::<usize>::new());
             // One wave over the shard, resolved by two shed actions.
             map.note_wave(1);
@@ -330,22 +306,21 @@ mod tests {
         let mut map = SharedCacheMap::new(2, 1000);
         map.publish(u16::MAX, &[(0, 5, 0)]);
         map.publish(9_999, &[(0, 7, 0)]);
-        assert_eq!(map.shard_bytes(0), vec![(9_999, 7), (u16::MAX, 5)]);
+        assert_eq!(map.shard_load(0), vec![(9_999, 7, 0), (u16::MAX, 5, 0)]);
         assert_eq!(map.clear_tenant(u16::MAX), 5);
-        assert_eq!(map.shard_bytes(0), vec![(9_999, 7)]);
+        assert_eq!(map.shard_load(0), vec![(9_999, 7, 0)]);
     }
 
     #[test]
-    fn set_load_and_set_bytes_keep_heat_in_lockstep() {
+    fn set_load_keeps_heat_in_lockstep() {
         let mut map = SharedCacheMap::new(1, 1000);
         map.set_load(0, 4, 100, 50);
         assert_eq!(map.shard_load(0), vec![(4, 100, 50)]);
-        // set_bytes preserves the published heat figure...
-        map.set_bytes(0, 4, 80);
-        assert_eq!(map.shard_load(0), vec![(4, 80, 50)]);
-        // ...and zero bytes drops both maps.
+        map.set_load(0, 4, 80, 20);
+        assert_eq!(map.shard_load(0), vec![(4, 80, 20)]);
+        // Zero bytes drops the tenant's heat along with its bytes.
         map.set_load(0, 4, 0, 999);
         assert_eq!(map.shard_load(0), vec![]);
-        assert_eq!(map.shard_bytes(0), vec![]);
+        assert_eq!(map.total_bytes(), 0);
     }
 }

@@ -313,10 +313,11 @@ pub struct TenantSnapshot {
 }
 
 /// A whole serving run's persisted state, one [`TenantSnapshot`] per
-/// tenant in tenant order. Produced at the end of
-/// [`serve_with`](crate::serve::serve_with) (every
-/// [`ServeOutcome`](crate::ServeOutcome) carries one) and fed back to
-/// warm-start the next run.
+/// tenant in tenant order. Produced at the end of every serve (each
+/// [`ServeOutcome`](crate::ServeOutcome) carries one) and fed back
+/// through [`ServeSnapshot::into_warm_start`] and
+/// [`serve_warm`](crate::serve::serve_warm) to warm-start the next
+/// run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeSnapshot {
     /// Per-tenant state, in tenant order.

@@ -499,7 +499,7 @@ pub fn debug_check_consistency(store: &mut RegionStore, map: &mut SharedCacheMap
     if cfg!(debug_assertions) {
         for shard in 0..store.shard_count() {
             let store_logical = store.logical_bytes(shard);
-            let map_logical: u64 = map.shard_bytes(shard).iter().map(|&(_, b)| b).sum();
+            let map_logical: u64 = map.shard_load(shard).iter().map(|&(_, b, _)| b).sum();
             debug_assert_eq!(
                 store_logical, map_logical,
                 "share-mode ledgers disagree on shard {shard}"

@@ -8,7 +8,7 @@
 //! a full active set, shard pressure, backpressure, and adaptive
 //! selector switches.
 
-use rsel_runtime::{ChurnConfig, ServeConfig, ServeOutcome, TenantSpec, serve, serve_with};
+use rsel_runtime::{ChurnConfig, ServeConfig, ServeOutcome, TenantSpec, serve, serve_warm};
 use rsel_workloads::Scale;
 
 const SEED: u64 = 2005;
@@ -73,8 +73,9 @@ fn warm_started_runs_are_identical_across_worker_counts() {
     let specs = TenantSpec::record_suite(SEED, Scale::Test);
     let config = ServeConfig::default();
     let snapshot = serve(&specs, &config, 2).unwrap().snapshot;
-    let warm1 = serve_with(&specs, &config, 1, Some(&snapshot)).unwrap();
-    let warm8 = serve_with(&specs, &config, 8, Some(&snapshot)).unwrap();
+    let warm = snapshot.clone().into_warm_start();
+    let warm1 = serve_warm(&specs, &config, 1, &warm).unwrap();
+    let warm8 = serve_warm(&specs, &config, 8, &warm).unwrap();
     assert!(warm1.report.warm_started && warm8.report.warm_started);
     assert!(warm1.report.warm_regions_restored > 0);
     assert_eq!(
@@ -117,8 +118,9 @@ fn smc_faulted_runs_are_identical_across_worker_counts() {
 
     // The invariant survives warm-starting from the faulted snapshot
     // (which carries each tenant's blacklist state).
-    let warm1 = serve_with(&specs, &config, 1, Some(&one.snapshot)).unwrap();
-    let warm8 = serve_with(&specs, &config, 8, Some(&one.snapshot)).unwrap();
+    let warm = one.snapshot.clone().into_warm_start();
+    let warm1 = serve_warm(&specs, &config, 1, &warm).unwrap();
+    let warm8 = serve_warm(&specs, &config, 8, &warm).unwrap();
     assert_eq!(
         warm1.report.to_json(),
         warm8.report.to_json(),
@@ -175,8 +177,9 @@ fn chaotic_runs_are_identical_across_worker_counts() {
     }
 
     // And the whole schedule replays identically from a warm start.
-    let warm1 = serve_with(&specs, &config, 1, Some(&calm.snapshot)).unwrap();
-    let warm8 = serve_with(&specs, &config, 8, Some(&calm.snapshot)).unwrap();
+    let warm = calm.snapshot.clone().into_warm_start();
+    let warm1 = serve_warm(&specs, &config, 1, &warm).unwrap();
+    let warm8 = serve_warm(&specs, &config, 8, &warm).unwrap();
     assert_eq!(
         warm1.report.to_json(),
         warm8.report.to_json(),

@@ -5,7 +5,7 @@
 //! faults + checkpoints) — while actually deduplicating the
 //! homogeneous replicas' regions.
 
-use rsel_runtime::{ChurnConfig, ServeConfig, ServeOutcome, TenantSpec, serve, serve_with};
+use rsel_runtime::{ChurnConfig, ServeConfig, ServeOutcome, TenantSpec, serve, serve_warm};
 use rsel_workloads::Scale;
 
 const SEED: u64 = 2005;
@@ -98,8 +98,9 @@ fn warm_shared_serving_is_identical_across_worker_counts() {
     let specs = replicated_suite();
     let config = shared_config();
     let snapshot = serve(&specs, &config, 2).unwrap().snapshot;
-    let warm1 = serve_with(&specs, &config, 1, Some(&snapshot)).unwrap();
-    let warm8 = serve_with(&specs, &config, 8, Some(&snapshot)).unwrap();
+    let warm = snapshot.clone().into_warm_start();
+    let warm1 = serve_warm(&specs, &config, 1, &warm).unwrap();
+    let warm8 = serve_warm(&specs, &config, 8, &warm).unwrap();
     assert_identical(&warm1, &warm8, "warm shared");
     assert!(warm1.report.warm_started);
     assert!(warm1.report.warm_regions_restored > 0);
@@ -154,8 +155,9 @@ fn chaotic_shared_serving_is_identical_across_worker_counts() {
 
     // And identically again from a warm start over the chaos schedule.
     let calm = serve(&specs, &shared_config(), 2).unwrap();
-    let warm1 = serve_with(&specs, &config, 1, Some(&calm.snapshot)).unwrap();
-    let warm8 = serve_with(&specs, &config, 8, Some(&calm.snapshot)).unwrap();
+    let warm = calm.snapshot.clone().into_warm_start();
+    let warm1 = serve_warm(&specs, &config, 1, &warm).unwrap();
+    let warm8 = serve_warm(&specs, &config, 8, &warm).unwrap();
     assert_identical(&warm1, &warm8, "warm chaotic shared");
     assert!(warm1.report.warm_started && warm1.report.churn_active);
 }
