@@ -1115,7 +1115,7 @@ impl<'a> Scheduler<'a> {
         let mut tenants = Vec::with_capacity(self.tenants.len());
         let mut run_reports = Vec::with_capacity(self.tenants.len());
         let mut snapshot_tenants = Vec::with_capacity(self.tenants.len());
-        for (t, mut tenant) in std::mem::take(&mut self.tenants).into_iter().enumerate() {
+        for (t, tenant) in self.tenants.iter_mut().enumerate() {
             let id = t as u16;
             // Every tenant ends holding a session (finished and
             // quarantined sessions are retained); materialize an empty
@@ -1142,7 +1142,7 @@ impl<'a> Scheduler<'a> {
                         .map_or(0, |ts| ts.policy.switches),
                 "engine switch count drifted from the switch log"
             );
-            let dip = tenant.dips.finish();
+            let dip = std::mem::take(&mut tenant.dips).finish();
             let (admitted_round, admission_wait) = tenant.admitted.unwrap_or_default();
             tenants.push(TenantSummary {
                 tenant: id,
@@ -1181,6 +1181,12 @@ impl<'a> Scheduler<'a> {
             });
             run_reports.push(session.report());
             snapshot_tenants.push(freeze_tenant(&session, &tenant.engine));
+            // Back into its slot: sessions are freed with the scheduler,
+            // after every report is built. Freeing each one as soon as
+            // its report was done interleaved large frees with the
+            // reports' allocations and doubled the page faults of the
+            // next serve in the same process.
+            *slot(&mut tenant.session) = Some(session);
         }
         let store_totals = self.store.as_ref().map(|s| s.totals()).unwrap_or_default();
         let store_stats: Vec<StoreShardStats> = match self.store {
