@@ -2,17 +2,17 @@
 //! through the `rsel-runtime` scheduler and writes `BENCH_serve.json`.
 //!
 //! Scale follows `RSEL_SCALE` (`test` or `full`, default `test` — a
-//! full-scale serve replays ~10⁸ recorded steps).
-//!
-//! Every knob below passes one checked parser: a value that does not
-//! parse, does not fit the knob's type, is zero where a count must be
-//! at least one, or is not one of a knob's listed choices is reported
-//! by name and exits 1. Worker count for the
+//! full-scale serve replays ~10⁸ recorded steps). Worker count for the
 //! headline run follows `RSEL_JOBS`. The scheduler's report contains
 //! nothing wall-clock- or worker-count-dependent; the single
 //! exception in the file is `insts_per_sec`, which this bin measures
 //! from the headline run's wall time and stamps in *after* the
 //! determinism cross-check has passed on the wall-clock-free report.
+//!
+//! Every knob below passes one checked parser: a value that does not
+//! parse, does not fit the knob's type, is zero where a count must be
+//! at least one, or is not one of a knob's listed choices is reported
+//! by name and exits 1.
 //!
 //! Fault traffic is enabled with the `RSEL_SMC_*` knobs (all rates in
 //! events per million executed blocks):
