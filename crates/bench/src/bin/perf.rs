@@ -1,7 +1,8 @@
 //! Performance benchmark for the matrix harness: times the record,
 //! replay, full-matrix (record-once/replay-many, parallel), and
-//! serial-live phases, verifies that replay is report-identical to
-//! live execution for every selector, and writes `BENCH_perf.json`.
+//! serial-live phases, plus a serial replay of the recorded suite per
+//! selector, verifies that replay is report-identical to live execution
+//! for every selector, and writes `BENCH_perf.json`.
 //!
 //! Scale selection follows `RSEL_SCALE` (`test` or `full`); when the
 //! variable is unset both scales are measured. Worker count follows
@@ -9,7 +10,8 @@
 //! its live counterpart.
 
 use rsel_bench::harness::{
-    DEFAULT_SEED, record_suite, replay_matrix, run_matrix_serial_live, run_matrix_with_jobs,
+    DEFAULT_SEED, RecordedWorkload, record_suite, replay_matrix, run_matrix_serial_live,
+    run_matrix_with_jobs,
 };
 use rsel_bench::jobs_from_env;
 use rsel_core::SimConfig;
@@ -37,6 +39,7 @@ struct ScaleResult {
     selectors: usize,
     record_ms: f64,
     replay_ms: f64,
+    replay_ms_by_selector: Vec<(SelectorKind, f64)>,
     full_matrix_ms: f64,
     serial_live_ms: f64,
     stream_bytes: usize,
@@ -46,6 +49,25 @@ struct ScaleResult {
 
 fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Serial wall time of replaying every recorded workload through each
+/// selector in turn: where the matrix's replay time goes.
+fn replay_by_selector(
+    recorded: &[RecordedWorkload],
+    kinds: &[SelectorKind],
+    config: &SimConfig,
+) -> Vec<(SelectorKind, f64)> {
+    kinds
+        .iter()
+        .map(|&kind| {
+            let t = Instant::now();
+            for r in recorded {
+                std::hint::black_box(r.replay(kind, config));
+            }
+            (kind, ms(t))
+        })
+        .collect()
 }
 
 fn measure(scale: Scale, name: &'static str, jobs: usize) -> ScaleResult {
@@ -76,6 +98,7 @@ fn measure(scale: Scale, name: &'static str, jobs: usize) -> ScaleResult {
     let t = Instant::now();
     let replayed = replay_matrix(&recorded, &kinds, &config, jobs);
     let replay_ms = ms(t);
+    let replay_ms_by_selector = replay_by_selector(&recorded, &kinds, &config);
 
     // The old pipeline: every cell re-executed live, serially.
     let t = Instant::now();
@@ -100,6 +123,7 @@ fn measure(scale: Scale, name: &'static str, jobs: usize) -> ScaleResult {
         selectors: kinds.len(),
         record_ms,
         replay_ms,
+        replay_ms_by_selector,
         full_matrix_ms,
         serial_live_ms,
         stream_bytes,
@@ -115,6 +139,15 @@ fn json_scale(r: &ScaleResult, out: &mut String) {
     out.push_str(&format!("      \"selectors\": {},\n", r.selectors));
     out.push_str(&format!("      \"record_ms\": {:.1},\n", r.record_ms));
     out.push_str(&format!("      \"replay_ms\": {:.1},\n", r.replay_ms));
+    let by_selector: Vec<String> = r
+        .replay_ms_by_selector
+        .iter()
+        .map(|(k, ms)| format!("\"{k}\": {ms:.1}"))
+        .collect();
+    out.push_str(&format!(
+        "      \"replay_ms_by_selector\": {{{}}},\n",
+        by_selector.join(", ")
+    ));
     out.push_str(&format!(
         "      \"full_matrix_ms\": {:.1},\n",
         r.full_matrix_ms

@@ -14,8 +14,8 @@
 //! cached region or falls back to the interpreter.
 
 use crate::error::SimError;
+use crate::fxhash::{self, FxHashMap, FxHashSet};
 use rsel_program::{Addr, InstKind, Program};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifier of a region within a [`CodeCache`](crate::CodeCache);
@@ -139,8 +139,8 @@ pub struct Region {
     kind: RegionKind,
     entry: Addr,
     blocks: Vec<RegionBlock>,
-    index: HashMap<Addr, usize>,
-    edges: HashMap<Addr, Vec<Addr>>,
+    index: FxHashMap<Addr, usize>,
+    edges: FxHashMap<Addr, Vec<Addr>>,
     /// Slot-indexed mirror of `edges` in CSR form: block slot `s`'s
     /// internal successors are `succ[succ_off[s]..succ_off[s + 1]]`,
     /// each `(start address, successor slot)`. The simulator's hot
@@ -182,13 +182,13 @@ impl Region {
             blocks.push(RegionBlock::try_from_program(program, a)?);
         }
         let entry = path[0];
-        let mut index = HashMap::with_capacity(blocks.len());
+        let mut index = fxhash::map_with_capacity(blocks.len());
         for (i, b) in blocks.iter().enumerate() {
             if index.insert(b.start(), i).is_some() {
                 return Err(SimError::DuplicateBlock(b.start()));
             }
         }
-        let mut edges: HashMap<Addr, Vec<Addr>> = HashMap::new();
+        let mut edges: FxHashMap<Addr, Vec<Addr>> = FxHashMap::default();
         for w in blocks.windows(2) {
             edges.entry(w[0].start()).or_default().push(w[1].start());
         }
@@ -249,14 +249,14 @@ impl Region {
         for &a in blocks {
             rblocks.push(RegionBlock::try_from_program(program, a)?);
         }
-        let mut index = HashMap::with_capacity(rblocks.len());
+        let mut index = fxhash::map_with_capacity(rblocks.len());
         for (i, b) in rblocks.iter().enumerate() {
             if index.insert(b.start(), i).is_some() {
                 return Err(SimError::DuplicateBlock(b.start()));
             }
         }
-        let mut edges: HashMap<Addr, Vec<Addr>> = HashMap::new();
-        let mut seen: HashSet<(Addr, Addr)> = HashSet::new();
+        let mut edges: FxHashMap<Addr, Vec<Addr>> = FxHashMap::default();
+        let mut seen: FxHashSet<(Addr, Addr)> = FxHashSet::default();
         for &(from, to) in observed_edges {
             if !index.contains_key(&from) {
                 return Err(SimError::EdgeFromUnknownBlock(from));

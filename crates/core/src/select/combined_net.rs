@@ -1,7 +1,7 @@
 //! Trace combination over NET (paper §4, "combined NET").
 
 use super::counters::CounterTable;
-use super::form::TraceGrower;
+use super::form::{GrownTrace, TraceGrower};
 use super::observe::ObservationStore;
 use super::region_cfg::combine_traces;
 use super::{Arrival, RegionSelector};
@@ -62,6 +62,28 @@ impl<'p> CombinedNetSelector<'p> {
         self.rejoin_iterations
     }
 
+    /// Feeds one event to every active observation, in start order,
+    /// and handles the ones it completes in that order.
+    fn feed_observers(
+        &mut self,
+        mut feed: impl FnMut(&mut TraceGrower) -> Option<GrownTrace>,
+    ) -> Vec<Region> {
+        if self.observers.is_empty() {
+            return Vec::new();
+        }
+        let mut done = Vec::new();
+        self.observers.retain_mut(|g| match feed(g) {
+            Some(t) => {
+                done.push((g.entry(), t.compact));
+                false
+            }
+            None => true,
+        });
+        done.into_iter()
+            .filter_map(|(e, c)| self.observation_done(e, c))
+            .collect()
+    }
+
     /// Handles one completed observation; returns the combined region
     /// when this completion was the target's last.
     fn observation_done(
@@ -83,18 +105,7 @@ impl<'p> CombinedNetSelector<'p> {
 
 impl RegionSelector for CombinedNetSelector<'_> {
     fn on_transfer(&mut self, cache: &CodeCache, src: Addr, tgt: Addr, taken: bool) -> Vec<Region> {
-        let mut done = Vec::new();
-        let mut still = Vec::with_capacity(self.observers.len());
-        for mut g in std::mem::take(&mut self.observers) {
-            match g.feed_transfer(cache, src, tgt, taken) {
-                Some(t) => done.push((g.entry(), t.compact)),
-                None => still.push(g),
-            }
-        }
-        self.observers = still;
-        done.into_iter()
-            .filter_map(|(e, c)| self.observation_done(e, c))
-            .collect()
+        self.feed_observers(|g| g.feed_transfer(cache, src, tgt, taken))
     }
 
     fn on_arrival(&mut self, _cache: &CodeCache, a: Arrival) -> Vec<Region> {
@@ -122,18 +133,8 @@ impl RegionSelector for CombinedNetSelector<'_> {
     }
 
     fn on_block(&mut self, _cache: &CodeCache, start: Addr) -> Vec<Region> {
-        let mut done = Vec::new();
-        let mut still = Vec::with_capacity(self.observers.len());
-        for mut g in std::mem::take(&mut self.observers) {
-            match g.feed_block(self.program, start) {
-                Some(t) => done.push((g.entry(), t.compact)),
-                None => still.push(g),
-            }
-        }
-        self.observers = still;
-        done.into_iter()
-            .filter_map(|(e, c)| self.observation_done(e, c))
-            .collect()
+        let program = self.program;
+        self.feed_observers(|g| g.feed_block(program, start))
     }
 
     fn on_fault(&mut self, fault: super::CounterFault) {

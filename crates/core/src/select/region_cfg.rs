@@ -3,9 +3,10 @@
 
 use super::rejoin::mark_rejoining_paths;
 use crate::cache::Region;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use rsel_program::{Addr, Program};
 use rsel_trace::{CompactTrace, DecodeError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The CFG built incrementally from a target's observed traces.
 ///
@@ -17,8 +18,10 @@ use std::collections::{HashMap, HashSet};
 pub struct ObservedCfg {
     entry: Addr,
     nodes: Vec<Addr>,
-    edges: HashMap<Addr, Vec<Addr>>,
-    occurrences: HashMap<Addr, u32>,
+    /// Each node's index in `nodes` (and `occurrences`).
+    slots: FxHashMap<Addr, usize>,
+    edges: FxHashMap<Addr, Vec<Addr>>,
+    occurrences: Vec<u32>,
     trace_count: u32,
 }
 
@@ -39,38 +42,55 @@ impl ObservedCfg {
         traces: &[CompactTrace],
     ) -> Result<Self, DecodeError> {
         assert!(!traces.is_empty(), "combination needs observed traces");
-        let mut cfg = ObservedCfg {
-            entry,
-            nodes: Vec::new(),
-            edges: HashMap::new(),
-            occurrences: HashMap::new(),
-            trace_count: traces.len() as u32,
-        };
-        let mut known: HashSet<Addr> = HashSet::new();
-        let mut edge_set: HashSet<(Addr, Addr)> = HashSet::new();
-        for t in traces {
+        let mut nodes = Vec::new();
+        let mut slots = FxHashMap::default();
+        let mut occurrences = Vec::new();
+        // Per node: the last trace it occurred in, and its successors
+        // in first-observed order.
+        let mut last_trace = Vec::new();
+        let mut succs: Vec<Vec<Addr>> = Vec::new();
+        for (k, t) in traces.iter().enumerate() {
             assert_eq!(
                 t.start(),
                 entry,
                 "observed trace starts at the region entry"
             );
             let path = t.decode(program)?;
-            let mut seen_this_trace: HashSet<Addr> = HashSet::new();
+            let mut prev: Option<usize> = None;
             for &b in &path.blocks {
-                if known.insert(b) {
-                    cfg.nodes.push(b);
+                let s = *slots.entry(b).or_insert_with(|| {
+                    nodes.push(b);
+                    occurrences.push(0);
+                    last_trace.push(usize::MAX);
+                    succs.push(Vec::new());
+                    nodes.len() - 1
+                });
+                if last_trace[s] != k {
+                    last_trace[s] = k;
+                    occurrences[s] += 1;
                 }
-                if seen_this_trace.insert(b) {
-                    *cfg.occurrences.entry(b).or_insert(0) += 1;
+                if let Some(p) = prev {
+                    if !succs[p].contains(&b) {
+                        succs[p].push(b);
+                    }
                 }
-            }
-            for w in path.blocks.windows(2) {
-                if edge_set.insert((w[0], w[1])) {
-                    cfg.edges.entry(w[0]).or_default().push(w[1]);
-                }
+                prev = Some(s);
             }
         }
-        Ok(cfg)
+        let edges = nodes
+            .iter()
+            .zip(succs)
+            .filter(|(_, out)| !out.is_empty())
+            .map(|(&b, out)| (b, out))
+            .collect();
+        Ok(ObservedCfg {
+            entry,
+            nodes,
+            slots,
+            edges,
+            occurrences,
+            trace_count: traces.len() as u32,
+        })
     }
 
     /// The region entry (first block of every observed trace).
@@ -84,13 +104,13 @@ impl ObservedCfg {
     }
 
     /// Observed edges.
-    pub fn edges(&self) -> &HashMap<Addr, Vec<Addr>> {
+    pub fn edges(&self) -> &FxHashMap<Addr, Vec<Addr>> {
         &self.edges
     }
 
     /// Number of observed traces containing `block`.
     pub fn occurrences(&self, block: Addr) -> u32 {
-        self.occurrences.get(&block).copied().unwrap_or(0)
+        self.slots.get(&block).map_or(0, |&s| self.occurrences[s])
     }
 
     /// Number of observed traces.
@@ -150,7 +170,7 @@ pub fn combine_traces(
         .filter(|b| rejoin.marked.contains(b))
         .collect();
     let dropped = cfg.nodes().len() - kept.len();
-    let kept_set: HashSet<Addr> = kept.iter().copied().collect();
+    let kept_set: FxHashSet<Addr> = kept.iter().copied().collect();
     let mut edge_pairs: Vec<(Addr, Addr)> = Vec::new();
     for (&from, succs) in cfg.edges() {
         if !kept_set.contains(&from) {

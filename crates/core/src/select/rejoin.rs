@@ -1,8 +1,10 @@
 //! Marking paths that rejoin frequently-occurring blocks
 //! (paper Figure 15, MARK-REJOINING-PATHS).
 
+use crate::fxhash::{self, FxHashSet};
 use rsel_program::Addr;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 
 /// The result of the rejoin-marking pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -27,10 +29,10 @@ pub struct RejoinResult {
 /// marked, the block is marked". Blocks are visited in post-order so
 /// marks cross several blocks per iteration; iteration repeats until a
 /// fixpoint.
-pub fn mark_rejoining_paths(
+pub fn mark_rejoining_paths<S: BuildHasher>(
     entry: Addr,
     nodes: &[Addr],
-    edges: &HashMap<Addr, Vec<Addr>>,
+    edges: &HashMap<Addr, Vec<Addr>, S>,
     initially_marked: &HashSet<Addr>,
 ) -> RejoinResult {
     let mut marked = initially_marked.clone();
@@ -61,9 +63,13 @@ pub fn mark_rejoining_paths(
 /// Post-order traversal of the CFG from `entry`; unreachable nodes (none
 /// in practice — every observed block is reachable from the entry) are
 /// appended afterwards in the given order.
-fn postorder(entry: Addr, nodes: &[Addr], edges: &HashMap<Addr, Vec<Addr>>) -> Vec<Addr> {
+fn postorder<S: BuildHasher>(
+    entry: Addr,
+    nodes: &[Addr],
+    edges: &HashMap<Addr, Vec<Addr>, S>,
+) -> Vec<Addr> {
     let mut out = Vec::with_capacity(nodes.len());
-    let mut visited: HashSet<Addr> = HashSet::with_capacity(nodes.len());
+    let mut visited: FxHashSet<Addr> = fxhash::set_with_capacity(nodes.len());
     // Iterative DFS with an explicit (node, child-cursor) stack.
     let mut stack: Vec<(Addr, usize)> = vec![(entry, 0)];
     visited.insert(entry);

@@ -29,6 +29,14 @@ pub enum BuildError {
         /// The offending target address.
         target: Addr,
     },
+    /// Two consecutive instructions of one block are not contiguous:
+    /// the first does not fall through to the second's address.
+    GapInBlock {
+        /// Address of the instruction before the gap.
+        after: Addr,
+        /// Address of the next instruction in the same block.
+        next: Addr,
+    },
     /// A block that can fall through has no block at its fall-through
     /// address.
     DanglingFallthrough {
@@ -58,6 +66,12 @@ impl fmt::Display for BuildError {
             }
             BuildError::MidBlockTarget { src, target } => {
                 write!(f, "branch at {src} targets mid-block address {target}")
+            }
+            BuildError::GapInBlock { after, next } => {
+                write!(
+                    f,
+                    "instruction at {after} does not fall through to {next}, the next in its block"
+                )
             }
             BuildError::DanglingFallthrough { from } => {
                 write!(f, "block ending at {from} falls through to no block")

@@ -19,7 +19,7 @@
 //! decodes each instruction at most once".
 
 use crate::bitstring::{BitReader, BitString};
-use rsel_program::{Addr, InstKind, Program};
+use rsel_program::{Addr, InstKind, Instruction, Program};
 use std::error::Error;
 use std::fmt;
 
@@ -193,30 +193,48 @@ impl CompactTrace {
     /// final branch), which is what makes the stop-at-end-address rule
     /// unambiguous.
     ///
+    /// Only block terminators consume codes, so the replay advances a
+    /// basic block at a time. A trace whose walk enters a block mid-way
+    /// or ends before a block's terminator is decoded again an
+    /// instruction at a time, which yields the same path in every other
+    /// case.
+    ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] if the program does not match the
     /// recording (different program, or corrupted bits).
     pub fn decode(&self, program: &Program) -> Result<DecodedPath, DecodeError> {
-        let aw = self.width.bits();
-        let total = self.bits.bit_len();
-        if total < aw as usize + 2 {
-            return Err(DecodeError::OutOfBits);
+        let (mut r, end_addr) = self.split()?;
+        let mut insts = Vec::new();
+        let mut blocks = Vec::new();
+        let mut addr = self.start;
+        loop {
+            let Some(block) = program.block_at(addr) else {
+                return self.decode_by_insts(program);
+            };
+            let term = block.terminator();
+            if (addr..term.addr()).contains(&end_addr) {
+                return self.decode_by_insts(program);
+            }
+            blocks.push(addr);
+            insts.extend(block.instructions().iter().map(|i| i.addr()));
+            if term.addr() == end_addr {
+                let exit_target =
+                    self.read_exit(&mut r, term.kind(), term.fallthrough_addr(), end_addr)?;
+                return Ok(DecodedPath {
+                    insts,
+                    blocks,
+                    exit_target,
+                });
+            }
+            addr = self.next_addr(&mut r, term)?;
         }
-        let end_addr = Addr::new(
-            self.bits
-                .bits_at(total - aw as usize, aw)
-                .ok_or(DecodeError::OutOfBits)?,
-        );
-        let term = self
-            .bits
-            .bits_at(total - aw as usize - 2, 2)
-            .ok_or(DecodeError::OutOfBits)?;
-        if term != CODE_END {
-            return Err(DecodeError::UnexpectedCode { at: self.start });
-        }
-        let mut r = self.bits.range_reader(0, total - aw as usize - 2);
+    }
 
+    /// [`CompactTrace::decode`] an instruction at a time: the fallback
+    /// for paths that enter or end inside a block.
+    fn decode_by_insts(&self, program: &Program) -> Result<DecodedPath, DecodeError> {
+        let (mut r, end_addr) = self.split()?;
         let mut insts = Vec::new();
         let mut blocks = Vec::new();
         let mut addr = self.start;
@@ -237,24 +255,56 @@ impl CompactTrace {
                     exit_target,
                 });
             }
-            addr = match inst.kind() {
-                InstKind::Straight => inst.fallthrough_addr(),
-                InstKind::Jump { target } | InstKind::Call { target } => target,
-                InstKind::CondBranch { target } => {
-                    match r.read_bits(2).ok_or(DecodeError::OutOfBits)? {
-                        CODE_TAKEN => target,
-                        CODE_NOT_TAKEN => inst.fallthrough_addr(),
-                        _ => return Err(DecodeError::UnexpectedCode { at: addr }),
-                    }
-                }
-                InstKind::IndirectJump | InstKind::IndirectCall | InstKind::Ret => {
-                    match r.read_bits(2).ok_or(DecodeError::OutOfBits)? {
-                        CODE_INDIRECT => Addr::new(r.read_bits(aw).ok_or(DecodeError::OutOfBits)?),
-                        _ => return Err(DecodeError::UnexpectedCode { at: addr }),
-                    }
-                }
-            };
+            addr = self.next_addr(&mut r, inst)?;
         }
+    }
+
+    /// Splits the stream into a reader over the branch codes and the
+    /// trace's end address.
+    fn split(&self) -> Result<(BitReader<'_>, Addr), DecodeError> {
+        let aw = self.width.bits() as usize;
+        let total = self.bits.bit_len();
+        if total < aw + 2 {
+            return Err(DecodeError::OutOfBits);
+        }
+        let end_addr = Addr::new(
+            self.bits
+                .bits_at(total - aw, aw as u32)
+                .ok_or(DecodeError::OutOfBits)?,
+        );
+        let term = self
+            .bits
+            .bits_at(total - aw - 2, 2)
+            .ok_or(DecodeError::OutOfBits)?;
+        if term != CODE_END {
+            return Err(DecodeError::UnexpectedCode { at: self.start });
+        }
+        Ok((self.bits.range_reader(0, total - aw - 2), end_addr))
+    }
+
+    /// Where control goes after `inst`, reading its code if it branches.
+    fn next_addr(&self, r: &mut BitReader<'_>, inst: &Instruction) -> Result<Addr, DecodeError> {
+        let at = inst.addr();
+        Ok(match inst.kind() {
+            InstKind::Straight => inst.fallthrough_addr(),
+            InstKind::Jump { target } | InstKind::Call { target } => target,
+            InstKind::CondBranch { target } => {
+                match r.read_bits(2).ok_or(DecodeError::OutOfBits)? {
+                    CODE_TAKEN => target,
+                    CODE_NOT_TAKEN => inst.fallthrough_addr(),
+                    _ => return Err(DecodeError::UnexpectedCode { at }),
+                }
+            }
+            InstKind::IndirectJump | InstKind::IndirectCall | InstKind::Ret => {
+                match r.read_bits(2).ok_or(DecodeError::OutOfBits)? {
+                    CODE_INDIRECT => Addr::new(
+                        r.read_bits(self.width.bits())
+                            .ok_or(DecodeError::OutOfBits)?,
+                    ),
+                    _ => return Err(DecodeError::UnexpectedCode { at }),
+                }
+            }
+        })
     }
 
     /// Parses any leftover code bits as the final instruction's outcome.
