@@ -2,6 +2,7 @@
 
 use crate::fxhash::{FxHashMap, FxHashSet};
 use rsel_program::Addr;
+use std::collections::hash_map::Entry;
 
 /// The table of execution counters used by NET and LEI profiling.
 ///
@@ -27,12 +28,19 @@ impl CounterTable {
     /// the new value. Increments saturate at `u32::MAX` so a counter
     /// corrupted to the ceiling never wraps back below its threshold.
     pub fn increment(&mut self, addr: Addr) -> u32 {
-        self.ever.insert(addr);
-        let c = self.counts.entry(addr).or_insert(0);
+        let live = self.counts.len();
+        let c = match self.counts.entry(addr) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                // Only a new counter can add a distinct address or
+                // raise the occupancy peak.
+                self.ever.insert(addr);
+                self.peak = self.peak.max(live + 1);
+                e.insert(0)
+            }
+        };
         *c = c.saturating_add(1);
-        let v = *c;
-        self.peak = self.peak.max(self.counts.len());
-        v
+        *c
     }
 
     /// Forces every live counter to `u32::MAX` (a saturation fault:
@@ -129,6 +137,19 @@ mod tests {
         assert_eq!(t.in_use(), 0);
         assert_eq!(t.peak(), 2);
         assert_eq!(t.increment(Addr::new(1)), 1, "profiling starts over");
+    }
+
+    #[test]
+    fn distinct_addresses_are_counted_once() {
+        let mut t = CounterTable::new();
+        let a = Addr::new(7);
+        t.increment(a);
+        t.increment(a);
+        t.recycle(a);
+        t.increment(a);
+        t.increment(Addr::new(8));
+        assert_eq!(t.distinct_ever(), 2);
+        assert_eq!(t.peak(), 2);
     }
 
     #[test]
