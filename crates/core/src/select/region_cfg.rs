@@ -5,7 +5,6 @@ use super::rejoin::mark_rejoining_paths;
 use crate::cache::Region;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use rsel_program::{Addr, Program};
-use rsel_trace::{CompactTrace, DecodeError};
 use std::collections::HashSet;
 
 /// The CFG built incrementally from a target's observed traces.
@@ -26,22 +25,14 @@ pub struct ObservedCfg {
 }
 
 impl ObservedCfg {
-    /// Builds the CFG by adding each observed trace in turn.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a [`DecodeError`] if a stored trace does not replay
-    /// against `program` (which indicates a bug, not a data condition).
+    /// Builds the CFG by adding each observed trace's block path in
+    /// turn.
     ///
     /// # Panics
     ///
-    /// Panics if `traces` is empty or a trace does not start at `entry`.
-    pub fn build(
-        program: &Program,
-        entry: Addr,
-        traces: &[CompactTrace],
-    ) -> Result<Self, DecodeError> {
-        assert!(!traces.is_empty(), "combination needs observed traces");
+    /// Panics if `paths` is empty or a path does not start at `entry`.
+    pub fn build(entry: Addr, paths: &[Vec<Addr>]) -> Self {
+        assert!(!paths.is_empty(), "combination needs observed traces");
         let mut nodes = Vec::new();
         let mut slots = FxHashMap::default();
         let mut occurrences = Vec::new();
@@ -49,15 +40,14 @@ impl ObservedCfg {
         // in first-observed order.
         let mut last_trace = Vec::new();
         let mut succs: Vec<Vec<Addr>> = Vec::new();
-        for (k, t) in traces.iter().enumerate() {
+        for (k, path) in paths.iter().enumerate() {
             assert_eq!(
-                t.start(),
-                entry,
+                path.first(),
+                Some(&entry),
                 "observed trace starts at the region entry"
             );
-            let path = t.decode(program)?;
             let mut prev: Option<usize> = None;
-            for &b in &path.blocks {
+            for &b in path {
                 let s = *slots.entry(b).or_insert_with(|| {
                     nodes.push(b);
                     occurrences.push(0);
@@ -83,14 +73,14 @@ impl ObservedCfg {
             .filter(|(_, out)| !out.is_empty())
             .map(|(&b, out)| (b, out))
             .collect();
-        Ok(ObservedCfg {
+        ObservedCfg {
             entry,
             nodes,
             slots,
             edges,
             occurrences,
-            trace_count: traces.len() as u32,
-        })
+            trace_count: paths.len() as u32,
+        }
     }
 
     /// The region entry (first block of every observed trace).
@@ -131,8 +121,8 @@ pub struct CombineResult {
     pub dropped_blocks: usize,
 }
 
-/// Runs the full combination pipeline of Figure 13 (lines 12–17):
-/// build the CFG, mark blocks occurring in at least `t_min` traces,
+/// Runs the full combination pipeline of Figure 13 (lines 12–17) over
+/// the observed traces' block paths: build the CFG, mark blocks occurring in at least `t_min` traces,
 /// mark rejoining paths, drop everything unmarked, promote exits that
 /// target kept blocks, and build the region.
 ///
@@ -140,17 +130,13 @@ pub struct CombineResult {
 /// observation windows overlap and some are skipped), the cut-off is
 /// lowered to the number of traces so that the entry — present in every
 /// trace — is always kept.
-///
-/// # Errors
-///
-/// Propagates a [`DecodeError`] from CFG construction.
 pub fn combine_traces(
     program: &Program,
     entry: Addr,
-    traces: &[CompactTrace],
+    paths: &[Vec<Addr>],
     t_min: u32,
-) -> Result<CombineResult, DecodeError> {
-    let cfg = ObservedCfg::build(program, entry, traces)?;
+) -> CombineResult {
+    let cfg = ObservedCfg::build(entry, paths);
     let cut = t_min.min(cfg.trace_count());
     let initially_marked: HashSet<Addr> = cfg
         .nodes()
@@ -185,11 +171,11 @@ pub fn combine_traces(
     // Deterministic ordering (HashMap iteration order is not).
     edge_pairs.sort();
     let region = Region::combined(program, &kept, &edge_pairs);
-    Ok(CombineResult {
+    CombineResult {
         region,
         rejoin_iterations: rejoin.iterations,
         dropped_blocks: dropped,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -197,6 +183,11 @@ mod tests {
     use super::*;
     use rsel_program::{BehaviorSpec, Executor, ProgramBuilder};
     use rsel_trace::{AddrWidth, TraceRecorder};
+
+    /// The block path of a recorded trace.
+    fn path(p: &Program, r: TraceRecorder, end: Addr) -> Vec<Addr> {
+        r.finish(end).decode(p).unwrap().blocks
+    }
 
     /// split S(cond->T) ; F(fall side) ; T(taken side) ; J(join) ; X(ret)
     /// F jumps to J; T falls into J.
@@ -221,12 +212,12 @@ mod tests {
     }
 
     /// Records a trace through the diamond, taking or falling at S.
-    fn observe(p: &Program, s: &[Addr; 5], take: bool) -> CompactTrace {
+    fn observe(p: &Program, s: &[Addr; 5], take: bool) -> Vec<Addr> {
         let mut r = TraceRecorder::new(s[0], AddrWidth::W32);
         r.record_cond(take);
         // J's terminator is straight (falls into X); trace ends at J.
         let j_end = p.block_at(s[3]).unwrap().terminator().addr();
-        r.finish(j_end)
+        path(p, r, j_end)
     }
 
     #[test]
@@ -237,7 +228,7 @@ mod tests {
             observe(&p, &s, false),
             observe(&p, &s, true),
         ];
-        let cfg = ObservedCfg::build(&p, s[0], &traces).unwrap();
+        let cfg = ObservedCfg::build(s[0], &traces);
         assert_eq!(cfg.occurrences(s[0]), 3);
         assert_eq!(cfg.occurrences(s[2]), 2); // taken side
         assert_eq!(cfg.occurrences(s[1]), 1); // fall side
@@ -257,7 +248,7 @@ mod tests {
             observe(&p, &s, true),
             observe(&p, &s, false),
         ];
-        let res = combine_traces(&p, s[0], &traces, 2).unwrap();
+        let res = combine_traces(&p, s[0], &traces, 2);
         let r = &res.region;
         assert!(r.contains_block(s[1]) && r.contains_block(s[2]));
         assert!(r.contains_block(s[3]));
@@ -274,8 +265,8 @@ mod tests {
         // "If there is a single dominant path from a branch target,
         // trace combination selects only that path" (§4.2).
         let (p, s) = diamond();
-        let traces: Vec<CompactTrace> = (0..5).map(|_| observe(&p, &s, true)).collect();
-        let res = combine_traces(&p, s[0], &traces, 2).unwrap();
+        let traces: Vec<Vec<Addr>> = (0..5).map(|_| observe(&p, &s, true)).collect();
+        let res = combine_traces(&p, s[0], &traces, 2);
         let r = &res.region;
         assert!(r.contains_block(s[2]));
         assert!(!r.contains_block(s[1]), "never-taken side is excluded");
@@ -293,7 +284,7 @@ mod tests {
             observe(&p, &s, true),
             observe(&p, &s, false),
         ];
-        let res = combine_traces(&p, s[0], &traces, 3).unwrap();
+        let res = combine_traces(&p, s[0], &traces, 3);
         assert!(res.region.contains_block(s[1]), "rejoining path kept");
         assert_eq!(res.dropped_blocks, 0);
     }
@@ -321,10 +312,10 @@ mod tests {
             } else {
                 p.block(fall).terminator().addr()
             };
-            r.finish(end)
+            path(&p, r, end)
         };
         let traces = vec![mk(true), mk(true), mk(true), mk(false)];
-        let res = combine_traces(&p, s0, &traces, 3).unwrap();
+        let res = combine_traces(&p, s0, &traces, 3);
         assert!(!res.region.contains_block(p.block(fall).start()));
         assert_eq!(res.dropped_blocks, 1);
     }
@@ -340,7 +331,7 @@ mod tests {
         let steps: Vec<_> = Executor::new(&p, spec).collect();
         assert!(steps.len() >= 4);
         let traces = vec![observe(&p, &s, true), observe(&p, &s, false)];
-        let res = combine_traces(&p, s[0], &traces, 1).unwrap();
+        let res = combine_traces(&p, s[0], &traces, 1);
         assert!(res.region.spans_cycle() || res.region.stub_count() >= 1);
     }
 }
