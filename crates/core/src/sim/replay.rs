@@ -57,7 +57,7 @@ use rsel_trace::DecodedStream;
 pub struct ReplayScratch {
     exec_preds: Vec<FxHashSet<Addr>>,
     exit_edges: Vec<FxHashSet<(RegionId, Addr)>>,
-    last_pred: Vec<u64>,
+    last_pred: Vec<[u64; 2]>,
     runtime: Vec<RegionRuntime>,
     retired: Vec<RegionReport>,
 }
@@ -67,7 +67,7 @@ pub struct ReplayScratch {
 pub(super) type PreparedBuffers = (
     Vec<FxHashSet<Addr>>,
     Vec<FxHashSet<(RegionId, Addr)>>,
-    Vec<u64>,
+    Vec<[u64; 2]>,
     Vec<RegionRuntime>,
     Vec<RegionReport>,
 );
@@ -92,7 +92,7 @@ impl ReplayScratch {
         }
         exit_edges.resize(block_count, FxHashSet::default());
         last_pred.clear();
-        last_pred.resize(block_count, u64::MAX);
+        last_pred.resize(block_count, [u64::MAX; 2]);
         runtime.clear();
         runtime.reserve(block_count);
         retired.clear();
