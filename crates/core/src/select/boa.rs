@@ -17,6 +17,16 @@ use rsel_program::{Addr, Program};
 /// The BOA selector: continuous per-branch direction profiling plus a
 /// low (15) entry threshold, with traces built from the profile rather
 /// than from the next execution.
+///
+/// Known defect (kept so that reports stay comparable; its fix moves
+/// this selector's results): an interpreted taken branch whose target
+/// is not cached is recorded twice, once by
+/// [`on_transfer`](RegionSelector::on_transfer) and again by
+/// [`on_arrival`](RegionSelector::on_arrival), while a not-taken branch
+/// is recorded once. The direction counts therefore lean towards taken:
+/// a branch taken 2 times in 5 reads as majority-taken.
+/// [`WigginsRedstoneSelector`](super::WigginsRedstoneSelector) shares
+/// the defect.
 #[derive(Debug)]
 pub struct BoaSelector<'p> {
     program: &'p Program,
@@ -61,6 +71,8 @@ impl RegionSelector for BoaSelector<'_> {
     fn on_arrival(&mut self, cache: &CodeCache, a: Arrival) -> Vec<Region> {
         if let (Some(src), true) = (a.src, a.taken) {
             // Exit landings and fresh arrivals still profile the edge.
+            // A fresh arrival was already recorded by `on_transfer`:
+            // the double count documented on `BoaSelector`.
             self.profile.record(self.program, src, a.tgt, true);
         }
         let backward = a.taken && a.src.is_some_and(|s| a.tgt.is_backward_from(s));
@@ -118,8 +130,48 @@ mod tests {
     use super::*;
     use crate::select::SelectorKind;
     use crate::sim::Simulator;
-    use rsel_program::Executor;
     use rsel_program::patterns::ScenarioBuilder;
+    use rsel_program::{Executor, ProgramBuilder};
+
+    #[test]
+    #[ignore = "known defect: an interpreted taken branch to an uncached target is profiled twice"]
+    fn each_interpreted_branch_is_profiled_once() {
+        // A(cond->C) ; B ; C(ret)
+        let mut b = ProgramBuilder::new();
+        let f = b.function("f", 0x100);
+        let a = b.block(f);
+        let bb = b.block(f);
+        let c = b.block_with(f, 0);
+        b.cond_branch(a, c);
+        b.ret(c);
+        let p = b.build().unwrap();
+        let src = p.block(a).terminator().addr();
+        let (fall, tgt) = (p.block(bb).start(), p.block(c).start());
+        let mut sel = BoaSelector::new(&p, &SimConfig::default());
+        let cache = CodeCache::new();
+        // The simulator's events for 2 taken and 3 not-taken
+        // interpreted executions of A's branch, C never cached.
+        for _ in 0..2 {
+            sel.on_transfer(&cache, src, tgt, true);
+            sel.on_arrival(
+                &cache,
+                Arrival {
+                    src: Some(src),
+                    tgt,
+                    taken: true,
+                    from_cache_exit: false,
+                },
+            );
+        }
+        for _ in 0..3 {
+            sel.on_transfer(&cache, src, fall, false);
+        }
+        assert_eq!(
+            sel.profile().majority_cond(src),
+            Some(false),
+            "taken 2 times in 5 is majority not-taken"
+        );
+    }
 
     #[test]
     fn selects_the_dominant_direction() {

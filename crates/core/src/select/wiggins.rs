@@ -21,6 +21,12 @@ use crate::config::SimConfig;
 use rsel_program::{Addr, Program};
 
 /// The Wiggins/Redstone-style sampling selector.
+///
+/// Known defect: like [`BoaSelector`](super::BoaSelector), it records
+/// an interpreted taken branch to an uncached target twice (in
+/// [`on_transfer`](RegionSelector::on_transfer) and
+/// [`on_arrival`](RegionSelector::on_arrival)) and a not-taken branch
+/// once, so its majority directions lean towards taken.
 #[derive(Debug)]
 pub struct WigginsRedstoneSelector<'p> {
     program: &'p Program,
@@ -61,6 +67,8 @@ impl RegionSelector for WigginsRedstoneSelector<'_> {
 
     fn on_arrival(&mut self, _: &CodeCache, a: Arrival) -> Vec<Region> {
         if let (Some(src), true) = (a.src, a.taken) {
+            // A fresh arrival was already recorded by `on_transfer`:
+            // the double count documented on `BoaSelector`.
             self.profile.record(self.program, src, a.tgt, true);
         }
         Vec::new()
