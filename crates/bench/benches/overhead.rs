@@ -10,7 +10,7 @@ use criterion::{Criterion, Throughput, criterion_group, criterion_main};
 use rsel_core::select::SelectorKind;
 use rsel_core::{SimConfig, Simulator};
 use rsel_program::Executor;
-use rsel_trace::RecordedStream;
+use rsel_trace::CompactStream;
 use rsel_workloads::{Scale, suite};
 
 fn selection_overhead(c: &mut Criterion) {
@@ -19,7 +19,7 @@ fn selection_overhead(c: &mut Criterion) {
         .find(|w| w.name() == "vpr")
         .expect("vpr exists");
     let (program, spec) = workload.build(7, Scale::Test);
-    let stream = RecordedStream::record(Executor::new(&program, spec));
+    let stream = CompactStream::record(Executor::new(&program, spec));
     let config = SimConfig::default();
 
     let mut group = c.benchmark_group("selection_overhead");
@@ -28,7 +28,7 @@ fn selection_overhead(c: &mut Criterion) {
         group.bench_function(kind.name(), |b| {
             b.iter(|| {
                 let mut sim = Simulator::new(&program, kind.make(&program, &config), &config);
-                sim.run(stream.replay());
+                sim.run(stream.replay(&program));
                 std::hint::black_box(sim.total_insts())
             });
         });

@@ -6,16 +6,13 @@
 //! Reports the LEI/NET region-transition ratio and LEI hit rate per
 //! setting, aggregated over the suite.
 
-use rsel_bench::{DEFAULT_SEED, geomean, run_matrix};
+use rsel_bench::{DEFAULT_SEED, geomean, run_matrix, scale_or_exit};
 use rsel_core::SimConfig;
 use rsel_core::select::SelectorKind;
 use rsel_workloads::Scale;
 
 fn main() {
-    let scale = match std::env::var("RSEL_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Full,
-    };
+    let scale = scale_or_exit(Scale::Full);
     println!("## Ablation: LEI parameter sensitivity (aggregates over the suite)\n");
     println!(
         "{:>8}  {:>6}  {:>12}  {:>9}  {:>8}",

@@ -5,16 +5,13 @@
 //! similar improvements" — combination remains effective with far fewer
 //! observations.
 
-use rsel_bench::{DEFAULT_SEED, Table, geomean, run_matrix};
+use rsel_bench::{DEFAULT_SEED, Table, geomean, run_matrix, scale_or_exit};
 use rsel_core::SimConfig;
 use rsel_core::select::SelectorKind;
 use rsel_workloads::Scale;
 
 fn main() {
-    let scale = match std::env::var("RSEL_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Full,
-    };
+    let scale = scale_or_exit(Scale::Full);
     let kinds = [SelectorKind::Net, SelectorKind::CombinedNet];
     let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
     let mut per_setting = Vec::new();

@@ -12,16 +12,14 @@
 //! when full (Dynamo's policy) and we sweep the capacity, counting
 //! flushes, regions regenerated, and the hit rate for each selector.
 
+use rsel_bench::scale_or_exit;
 use rsel_core::select::SelectorKind;
 use rsel_core::{SimConfig, Simulator};
 use rsel_program::Executor;
 use rsel_workloads::{Scale, suite};
 
 fn main() {
-    let scale = match std::env::var("RSEL_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Full,
-    };
+    let scale = scale_or_exit(Scale::Full);
     println!("## Extension: bounded code cache (suite totals per capacity)\n");
     println!(
         "{:>9}  {:<13} {:>8} {:>9} {:>9}",

@@ -8,6 +8,7 @@
 //! has nowhere outside the cycle to move an instruction". This binary
 //! quantifies those opportunities per selector.
 
+use rsel_bench::scale_or_exit;
 use rsel_core::metrics::analyze_optimization;
 use rsel_core::select::SelectorKind;
 use rsel_core::{SimConfig, Simulator};
@@ -15,10 +16,7 @@ use rsel_program::Executor;
 use rsel_workloads::{Scale, suite};
 
 fn main() {
-    let scale = match std::env::var("RSEL_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Full,
-    };
+    let scale = scale_or_exit(Scale::Full);
     let config = SimConfig::default();
     println!("## Extension: optimization opportunities in selected regions (\u{a7}4.4)\n");
     println!(

@@ -11,6 +11,7 @@
 //! workloads concentrate execution in a handful of paths, while the
 //! gcc/vortex-style workloads spread it over many.
 
+use rsel_bench::scale_or_exit;
 use rsel_core::select::SelectorKind;
 use rsel_core::{SimConfig, Simulator};
 use rsel_program::Executor;
@@ -21,10 +22,7 @@ const PATH_LEN: usize = 8;
 const SAMPLE_STEPS: usize = 2_000_000;
 
 fn main() {
-    let scale = match std::env::var("RSEL_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Full,
-    };
+    let scale = scale_or_exit(Scale::Full);
     println!("## Workload characterization: {PATH_LEN}-block hot-path diversity\n");
     println!(
         "{:<10} {:>10} {:>12} {:>12} {:>14}",

@@ -5,7 +5,8 @@
 //! for every selector, and writes `BENCH_perf.json`.
 //!
 //! Scale selection follows `RSEL_SCALE` (`test` or `full`); when the
-//! variable is unset both scales are measured. Worker count follows
+//! variable is unset both scales are measured, and any other value
+//! exits with status 1. Worker count follows
 //! `RSEL_JOBS`. Exits non-zero if any replayed report diverges from
 //! its live counterpart.
 
@@ -13,7 +14,7 @@ use rsel_bench::harness::{
     DEFAULT_SEED, RecordedWorkload, record_suite, replay_matrix, run_matrix_serial_live,
     run_matrix_with_jobs,
 };
-use rsel_bench::jobs_from_env;
+use rsel_bench::{jobs_from_env, scale_from_env};
 use rsel_core::SimConfig;
 use rsel_core::select::SelectorKind;
 use rsel_workloads::Scale;
@@ -194,10 +195,14 @@ fn json_scale(r: &ScaleResult, out: &mut String) {
 
 fn main() {
     let jobs = jobs_from_env();
-    let scales: Vec<(Scale, &'static str)> = match std::env::var("RSEL_SCALE").as_deref() {
-        Ok("test") => vec![(Scale::Test, "test")],
-        Ok("full") => vec![(Scale::Full, "full")],
-        _ => vec![(Scale::Test, "test"), (Scale::Full, "full")],
+    let scales: Vec<(Scale, &'static str)> = match scale_from_env() {
+        Ok(Some(Scale::Test)) => vec![(Scale::Test, "test")],
+        Ok(Some(Scale::Full)) => vec![(Scale::Full, "full")],
+        Ok(None) => vec![(Scale::Test, "test"), (Scale::Full, "full")],
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     };
 
     let mut results = Vec::new();

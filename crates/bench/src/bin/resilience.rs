@@ -9,6 +9,7 @@
 //! All schedules derive from `FaultConfig::seed`, so every line of
 //! this table is exactly reproducible.
 
+use rsel_bench::scale_or_exit;
 use rsel_core::cache::code_cache::INDEX_PAGE_BYTES;
 use rsel_core::select::SelectorKind;
 use rsel_core::{CodeCache, FaultConfig, Region, SimConfig, Simulator};
@@ -72,10 +73,7 @@ fn sweeps() -> Vec<Sweep> {
 }
 
 fn main() {
-    let scale = match std::env::var("RSEL_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Full,
-    };
+    let scale = scale_or_exit(Scale::Full);
     println!("## Extension: resilience under faults (suite totals per schedule)\n");
     println!(
         "{:>9}  {:<13} {:>8} {:>7} {:>7} {:>7} {:>7} {:>9} {:>9}",

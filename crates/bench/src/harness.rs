@@ -29,6 +29,9 @@ use rsel_program::{Executor, Program};
 use rsel_trace::{CompactStream, DecodedStream};
 use rsel_workloads::{Scale, Workload, suite};
 use std::collections::HashMap;
+use std::error::Error;
+use std::ffi::OsStr;
+use std::fmt;
 use std::sync::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -329,13 +332,55 @@ pub fn run_matrix_serial_live(
     }
 }
 
+/// An `RSEL_SCALE` value that names no scale.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ScaleError(pub String);
+
+impl fmt::Display for ScaleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "RSEL_SCALE must be test or full, got {:?}", self.0)
+    }
+}
+
+impl Error for ScaleError {}
+
+/// Reads the experiment scale from `RSEL_SCALE`: `None` when unset,
+/// the scale for `test` or `full`, and an error for any other value.
+///
+/// # Errors
+///
+/// Returns a [`ScaleError`] naming the value when it is set to
+/// anything else, so a typo cannot silently pick a scale.
+pub fn scale_from_env() -> Result<Option<Scale>, ScaleError> {
+    parse_scale(std::env::var_os("RSEL_SCALE").as_deref())
+}
+
+fn parse_scale(raw: Option<&OsStr>) -> Result<Option<Scale>, ScaleError> {
+    let Some(raw) = raw else { return Ok(None) };
+    match raw.to_str() {
+        Some("test") => Ok(Some(Scale::Test)),
+        Some("full") => Ok(Some(Scale::Full)),
+        _ => Err(ScaleError(raw.to_string_lossy().into_owned())),
+    }
+}
+
+/// [`scale_from_env`] for the binaries: `default` when `RSEL_SCALE` is
+/// unset. An unknown value is reported to stderr and the process exits
+/// with status 1.
+pub fn scale_or_exit(default: Scale) -> Scale {
+    match scale_from_env() {
+        Ok(scale) => scale.unwrap_or(default),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Reads the experiment scale from `RSEL_SCALE` (`test` or `full`,
-/// default `full`) and runs the matrix.
+/// default `full`; see [`scale_or_exit`]) and runs the matrix.
 pub fn run_matrix_from_env(kinds: &[SelectorKind], config: &SimConfig) -> MatrixResults {
-    let scale = match std::env::var("RSEL_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Full,
-    };
+    let scale = scale_or_exit(Scale::Full);
     eprintln!(
         "running {} workloads x {} selectors ({scale:?} scale)...",
         suite().len(),
@@ -347,6 +392,19 @@ pub fn run_matrix_from_env(kinds: &[SelectorKind], config: &SimConfig) -> Matrix
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_knob_accepts_only_its_values() {
+        assert_eq!(parse_scale(None), Ok(None));
+        assert_eq!(parse_scale(Some(OsStr::new("test"))), Ok(Some(Scale::Test)));
+        assert_eq!(parse_scale(Some(OsStr::new("full"))), Ok(Some(Scale::Full)));
+        for bad in ["tset", "", "Test", " full"] {
+            let err = parse_scale(Some(OsStr::new(bad))).unwrap_err();
+            assert_eq!(err, ScaleError(bad.to_string()));
+            assert!(err.to_string().contains("RSEL_SCALE"), "{err}");
+            assert!(err.to_string().contains("test or full"), "{err}");
+        }
+    }
 
     #[test]
     fn matrix_covers_all_cells() {

@@ -24,12 +24,12 @@ pub struct FormedTrace {
 /// (paper Figure 6, FORM-TRACE).
 ///
 /// Given the taken branches recorded after the previous occurrence of
-/// `start`, the full path is rebuilt by appending the instructions on
-/// the fall-through path from each branch target to the next branch
-/// source. The trace ends when an instruction begins an existing region,
-/// when the path returns to an instruction already in the trace (a
-/// cycle is complete), or — a robustness addition for stale buffers —
-/// when the recorded branches stop lining up with the program text.
+/// `start`, the full path is rebuilt by appending the blocks on the
+/// fall-through path from each branch target to the next branch source.
+/// The trace ends when a block begins an existing region, when the path
+/// returns to a block already in the trace (a cycle is complete), or —
+/// a robustness addition for stale buffers — when the recorded branches
+/// stop lining up with the program's blocks.
 ///
 /// Returns `None` when no consistent non-empty path can be formed.
 pub fn form_lei_trace(
@@ -55,10 +55,10 @@ pub fn form_lei_trace(
 /// The walk advances a basic block at a time: only block starts can
 /// begin a cached region or be reached again by a cycle, and validated
 /// blocks are contiguous runs of straight instructions ending in their
-/// terminator. When a recorded branch source or target lies strictly
-/// inside a block (a stale buffer), the trace is formed again an
-/// instruction at a time, which yields the same trace in every other
-/// case.
+/// terminator. Every recorded transfer leaves a block terminator for a
+/// block start. A transfer that does not — a source before its block's
+/// terminator, or a target that starts no block — is treated like a
+/// stale record: the trace ends at the last whole block appended.
 pub fn form_trace_from_branches(
     program: &Program,
     cache: &CodeCache,
@@ -66,22 +66,6 @@ pub fn form_trace_from_branches(
     branches: &[(Addr, Addr)],
     width: AddrWidth,
 ) -> Option<FormedTrace> {
-    form_by_blocks(program, cache, start, branches, width)
-        .unwrap_or_else(|MidBlock| form_by_insts(program, cache, start, branches, width))
-}
-
-/// The block walk reached an address that does not start a block, or
-/// a branch source before its block's terminator.
-struct MidBlock;
-
-/// FORM-TRACE a block at a time; see [`form_trace_from_branches`].
-fn form_by_blocks(
-    program: &Program,
-    cache: &CodeCache,
-    start: Addr,
-    branches: &[(Addr, Addr)],
-    width: AddrWidth,
-) -> Result<Option<FormedTrace>, MidBlock> {
     let mut blocks = Vec::new();
     let mut in_trace: FxHashSet<Addr> = FxHashSet::default();
     let mut insts = 0;
@@ -91,16 +75,17 @@ fn form_by_blocks(
     'branches: for &(branch_src, branch_tgt) in branches {
         let mut cur = prev;
         loop {
-            // Regions begin, and cycles close, only at block starts.
+            // Stop if the next block begins an existing trace (Figure 6,
+            // line 7) or completes a cycle on a fall-through path (§3.1).
             if cache.contains(cur) || in_trace.contains(&cur) {
                 break 'branches;
             }
             let Some(block) = program.block_at(cur) else {
-                return Err(MidBlock);
+                break 'branches;
             };
             let term = block.terminator();
             if (cur..term.addr()).contains(&branch_src) {
-                return Err(MidBlock);
+                break 'branches;
             }
             in_trace.insert(cur);
             blocks.push(cur);
@@ -117,74 +102,13 @@ fn form_by_blocks(
             }
             cur = term.fallthrough_addr();
         }
-        if in_trace.contains(&branch_tgt) {
-            break;
-        }
-        prev = branch_tgt;
-    }
-    Ok((!blocks.is_empty()).then(|| FormedTrace {
-        blocks,
-        compact: rec.finish(last_inst),
-        insts,
-    }))
-}
-
-/// FORM-TRACE an instruction at a time: the fallback for branches that
-/// leave or enter a block mid-way.
-fn form_by_insts(
-    program: &Program,
-    cache: &CodeCache,
-    start: Addr,
-    branches: &[(Addr, Addr)],
-    width: AddrWidth,
-) -> Option<FormedTrace> {
-    let mut blocks = Vec::new();
-    let mut in_trace: FxHashSet<Addr> = FxHashSet::default();
-    let mut rec = TraceRecorder::new(start, width);
-    let mut prev = start;
-    let mut last_inst = start;
-    'branches: for &(branch_src, branch_tgt) in branches {
-        let mut cur = prev;
-        loop {
-            // Stop if the next instruction begins an existing trace
-            // (Figure 6, line 7).
-            if cache.contains(cur) {
-                break 'branches;
-            }
-            // Cycle completed on a fall-through path (§3.1).
-            if in_trace.contains(&cur) {
-                break 'branches;
-            }
-            let Some(inst) = program.inst_at(cur) else {
-                break 'branches;
-            };
-            in_trace.insert(cur);
-            if program.block_at(cur).is_some() {
-                blocks.push(cur);
-            }
-            last_inst = cur;
-            if cur == branch_src {
-                if !record_transfer(&mut rec, inst, branch_tgt) {
-                    break 'branches;
-                }
-                break;
-            }
-            if !record_fallthrough(&mut rec, inst) {
-                break 'branches;
-            }
-            cur = inst.fallthrough_addr();
-        }
         // Stop if the branch forms a cycle (Figure 6, line 12).
         if in_trace.contains(&branch_tgt) {
             break;
         }
         prev = branch_tgt;
     }
-    if blocks.is_empty() {
-        return None;
-    }
-    let insts = in_trace.len();
-    Some(FormedTrace {
+    (!blocks.is_empty()).then(|| FormedTrace {
         blocks,
         compact: rec.finish(last_inst),
         insts,

@@ -17,8 +17,8 @@
 //!   per-shard locking. A shard over its byte budget triggers a
 //!   pressure wave that sheds the heaviest tenants' oldest regions
 //!   through the resilience hooks (`Simulator::evict_regions`), so
-//!   evictions show up in each tenant's [`ResilienceStats`]
-//!   (reformations, severed links, recovery transitions) exactly like
+//!   evictions show up in each tenant's
+//!   [`ResilienceStats`](rsel_core::ResilienceStats) (reformations, severed links, recovery transitions) exactly like
 //!   any other cache-pressure event.
 //! - [`session`] — a **tenant session**: one recorded workload replayed
 //!   epoch by epoch through a [`Simulator`](rsel_core::Simulator) that
@@ -29,7 +29,7 @@
 //!   epoch each, scores them by observed hit rate minus a code
 //!   expansion penalty, then exploits the winner — re-exploring when
 //!   the score collapses (a phase shift).
-//! - [`serve`] — the **session scheduler**, entered through
+//! - [`serve`](mod@serve) — the **session scheduler**, entered through
 //!   [`serve()`] (cold) or [`serve_warm`] (from a [`WarmStart`]). Each
 //!   round runs the same ordered phases: arrivals join the pending
 //!   line; admission fills a bounded queue that feeds up to

@@ -14,7 +14,7 @@
 //! 2. **Admission** (`admit`) — the pending line fills a bounded queue
 //!    (`queue_capacity`), and the queue feeds up to `max_active`
 //!    concurrent sessions. A full queue defers arrivals — the
-//!    backpressure the [`QueueStats`](crate::QueueStats) expose. A
+//!    backpressure the [`QueueStats`] expose. A
 //!    zero-capacity queue means "no buffering": arrivals are admitted
 //!    directly up to `max_active` and the rest stay deferred. Under
 //!    sustained overload an optional admission timeout *sheds*
@@ -68,7 +68,7 @@
 //!
 //! The outcome is byte-identical for every `jobs` value, warm-started
 //! or not, churned or not, and every outcome carries a
-//! [`ServeSnapshot`](crate::ServeSnapshot) of the final state so the
+//! [`ServeSnapshot`] of the final state so the
 //! next run can warm-start from it.
 
 use crate::churn::{ChaosConfig, ChurnConfig, LifecycleEvent, LifecycleKind, TenantLifecycle};
@@ -94,14 +94,14 @@ use std::sync::{Mutex, PoisonError};
 /// Derives tenant `tenant`'s fault-schedule seed from the run's base
 /// seed (a SplitMix64-style finalizer over the pair).
 ///
-/// Every tenant session owns its own [`FaultInjector`]
-/// (rsel_core::sim::faults::FaultInjector) seeded with this value, so
-/// a tenant's self-modifying-code schedule is a function of the base
-/// seed and its id alone — worker count, admission order, and the
-/// other tenants cannot perturb it. That is what keeps a faulted
-/// serve byte-identical for every `jobs` value. The churn layer
-/// derives its per-tenant lifecycle seeds the same way (over a salted
-/// base, so the streams never collide).
+/// Every tenant session owns its own
+/// [`FaultInjector`](rsel_core::sim::faults::FaultInjector) seeded with
+/// this value, so a tenant's self-modifying-code schedule is a function
+/// of the base seed and its id alone — worker count, admission order,
+/// and the other tenants cannot perturb it. That is what keeps a
+/// faulted serve byte-identical for every `jobs` value. The churn
+/// layer derives its per-tenant lifecycle seeds the same way (over a
+/// salted base, so the streams never collide).
 pub fn tenant_fault_seed(base: u64, tenant: u16) -> u64 {
     let mut z = base ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(tenant) + 1);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -193,7 +193,7 @@ pub struct ServeConfig {
     pub reconnect_cold: bool,
     /// Content-addressed region sharing: identical regions across
     /// tenants are deduplicated through the
-    /// [`RegionStore`](crate::RegionStore) — each shard charges
+    /// [`RegionStore`] — each shard charges
     /// *unique* bytes against `shard_capacity` (logical per-tenant
     /// bytes stay reported), regions shard by content key instead of
     /// `(tenant, entry)`, and pressure eviction drops shared entries

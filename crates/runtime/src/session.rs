@@ -3,7 +3,7 @@
 //! A [`TenantSpec`] owns a workload's program and its compactly
 //! recorded execution (record once, serve many). A [`TenantSession`]
 //! borrows the spec and drives a persistent
-//! [`Simulator`](rsel_core::Simulator) through it in fixed-length
+//! [`Simulator`] through it in fixed-length
 //! epochs: the code cache and every metric survive across epochs, the
 //! selector may be swapped at epoch boundaries, and the scheduler may
 //! run different epochs of the same session on different worker

@@ -747,9 +747,9 @@ fn expect_eof<R: Read>(reader: &mut R) -> Result<(), SnapshotError> {
 /// tenant `specs` and `policy` configuration it will warm.
 ///
 /// Validation is strict: every region is rebuilt against its tenant's
-/// program (and discarded — [`TenantSession::restore`]
-/// (crate::TenantSession::restore) rebuilds again into a live
-/// simulator), every policy state must be one
+/// program (and discarded —
+/// [`TenantSession::restore`](crate::TenantSession::restore) rebuilds
+/// again into a live simulator), every policy state must be one
 /// [`PolicyEngine::restore`] accepts, and the input must end exactly
 /// where the format says it does. For the variant that degrades stale
 /// tenants instead of rejecting the file, see [`load_warm_start`].

@@ -10,7 +10,7 @@
 //! refcounted [`StoreEntry`] per shard. A tenant inserting an
 //! already-present region takes a *ref* instead of new bytes, so the
 //! shard charges unique bytes once while per-tenant logical bytes
-//! remain reported through the [`SharedCacheMap`](crate::SharedCacheMap).
+//! remain reported through the [`SharedCacheMap`].
 //!
 //! In share mode a region belongs to the shard addressed by its
 //! *content key* (tenant-independent — see [`shard_of_key`]), so

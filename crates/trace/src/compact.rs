@@ -137,8 +137,10 @@ pub struct DecodedPath {
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DecodeError {
-    /// The path reached an address holding no instruction.
-    UnknownInstruction(Addr),
+    /// The start, an indirect target or the end address is not on a
+    /// block boundary of the program: it holds no instruction, or one
+    /// inside a block.
+    OffBlockBoundary(Addr),
     /// The bit stream ended before the path did.
     OutOfBits,
     /// An indirect branch was reached but the next code was not an
@@ -152,8 +154,8 @@ pub enum DecodeError {
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DecodeError::UnknownInstruction(a) => {
-                write!(f, "no instruction at {a} while decoding trace")
+            DecodeError::OffBlockBoundary(a) => {
+                write!(f, "trace address {a} is off a block boundary")
             }
             DecodeError::OutOfBits => write!(f, "compact trace ended prematurely"),
             DecodeError::UnexpectedCode { at } => {
@@ -194,27 +196,31 @@ impl CompactTrace {
     /// unambiguous.
     ///
     /// Only block terminators consume codes, so the replay advances a
-    /// basic block at a time. A trace whose walk enters a block mid-way
-    /// or ends before a block's terminator is decoded again an
-    /// instruction at a time, which yields the same path in every other
-    /// case.
+    /// basic block at a time. Every trace the selectors record starts
+    /// at a block start, leaves each block at its terminator for
+    /// another block start, and ends at a terminator; a trace that does
+    /// not is rejected. The end address is checked as each block is
+    /// entered, so a trace that ends inside a block cannot walk on past
+    /// its end (a cycle of unconditional jumps would never stop).
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] if the program does not match the
-    /// recording (different program, or corrupted bits).
+    /// recording (different program, or corrupted bits):
+    /// [`DecodeError::OffBlockBoundary`] when the start, an indirect
+    /// target or the end address is off a block boundary.
     pub fn decode(&self, program: &Program) -> Result<DecodedPath, DecodeError> {
         let (mut r, end_addr) = self.split()?;
         let mut insts = Vec::new();
         let mut blocks = Vec::new();
         let mut addr = self.start;
         loop {
-            let Some(block) = program.block_at(addr) else {
-                return self.decode_by_insts(program);
-            };
+            let block = program
+                .block_at(addr)
+                .ok_or(DecodeError::OffBlockBoundary(addr))?;
             let term = block.terminator();
             if (addr..term.addr()).contains(&end_addr) {
-                return self.decode_by_insts(program);
+                return Err(DecodeError::OffBlockBoundary(end_addr));
             }
             blocks.push(addr);
             insts.extend(block.instructions().iter().map(|i| i.addr()));
@@ -228,34 +234,6 @@ impl CompactTrace {
                 });
             }
             addr = self.next_addr(&mut r, term)?;
-        }
-    }
-
-    /// [`CompactTrace::decode`] an instruction at a time: the fallback
-    /// for paths that enter or end inside a block.
-    fn decode_by_insts(&self, program: &Program) -> Result<DecodedPath, DecodeError> {
-        let (mut r, end_addr) = self.split()?;
-        let mut insts = Vec::new();
-        let mut blocks = Vec::new();
-        let mut addr = self.start;
-        loop {
-            let inst = program
-                .inst_at(addr)
-                .ok_or(DecodeError::UnknownInstruction(addr))?;
-            insts.push(addr);
-            if program.block_at(addr).is_some() {
-                blocks.push(addr);
-            }
-            if addr == end_addr {
-                let exit_target =
-                    self.read_exit(&mut r, inst.kind(), inst.fallthrough_addr(), addr)?;
-                return Ok(DecodedPath {
-                    insts,
-                    blocks,
-                    exit_target,
-                });
-            }
-            addr = self.next_addr(&mut r, inst)?;
         }
     }
 
@@ -436,7 +414,7 @@ mod tests {
         let err = ct.decode(&p).unwrap_err();
         assert!(matches!(
             err,
-            DecodeError::OutOfBits | DecodeError::UnknownInstruction(_)
+            DecodeError::OutOfBits | DecodeError::OffBlockBoundary(_)
         ));
     }
 
@@ -450,8 +428,35 @@ mod tests {
         let ct = rec.finish(Addr::new(0xfff0));
         assert!(matches!(
             ct.decode(&p),
-            Err(DecodeError::UnknownInstruction(_))
+            Err(DecodeError::OffBlockBoundary(_))
         ));
+    }
+
+    #[test]
+    fn off_boundary_addresses_are_rejected() {
+        let p = program();
+        let b0 = &p.blocks()[0];
+        let b2 = &p.blocks()[2];
+        let inside_b0 = b0.terminator().addr();
+        // A start inside a block.
+        let mut rec = TraceRecorder::new(inside_b0, AddrWidth::W32);
+        rec.record_cond(true);
+        let ct = rec.finish(b2.terminator().addr());
+        assert_eq!(ct.decode(&p), Err(DecodeError::OffBlockBoundary(inside_b0)));
+        // An indirect target inside a block.
+        let mut rec = TraceRecorder::new(b0.start(), AddrWidth::W32);
+        rec.record_cond(true);
+        rec.record_indirect(inside_b0);
+        let ct = rec.finish(p.blocks()[3].terminator().addr());
+        assert_eq!(ct.decode(&p), Err(DecodeError::OffBlockBoundary(inside_b0)));
+        // An end before its block's terminator.
+        let mut rec = TraceRecorder::new(b0.start(), AddrWidth::W32);
+        rec.record_cond(true);
+        let ct = rec.finish(b2.start());
+        assert_eq!(
+            ct.decode(&p),
+            Err(DecodeError::OffBlockBoundary(b2.start()))
+        );
     }
 
     #[test]

@@ -26,12 +26,10 @@
 //! O(1) — see `rsel_core`'s guarded fast-forward for the conditions
 //! under which that is byte-identical.
 
-use crate::stream::{CompactStream, StreamStats, tag_to_kind};
+use crate::stream::{
+    CompactStream, ENTRY_FALLTHROUGH, ENTRY_START, ENTRY_TAKEN_BASE, StreamStats, tag_to_kind,
+};
 use rsel_program::{Addr, BlockId, Entry, Program, Step};
-
-const ENTRY_START: u8 = 0;
-const ENTRY_FALLTHROUGH: u8 = 1;
-const ENTRY_TAKEN_BASE: u8 = 2;
 
 /// Longest step cycle the spin detector recognises. Spin phases worth
 /// skipping are tight loops (a handful of blocks per iteration); a

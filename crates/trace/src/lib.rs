@@ -9,11 +9,13 @@
 //!   indirect branches, a terminator code plus the trace-end address),
 //!   with faithful byte accounting so the observed-trace memory overhead
 //!   of Figure 18 can be measured;
-//! - [`CompactTrace::decode`]: reconstruction of the recorded path
-//!   against a [`Program`](rsel_program::Program), as used when
-//!   combining observed traces into a region (paper §4.2.2);
-//! - [`stream`]: recording/replaying executor streams and summary
-//!   statistics;
+//! - [`CompactTrace::decode`]: reconstruction of the recorded block
+//!   path against a [`Program`](rsel_program::Program), a block at a
+//!   time, rejecting addresses off a block boundary;
+//! - [`stream`]: [`CompactStream`], the one recorded form of an
+//!   executor stream (5 bytes per step), and summary statistics;
+//! - [`stream_io`]: its binary file format, with a loader that checks
+//!   every block index and branch source against the program;
 //! - [`decoded`]: the decode-once struct-of-arrays execution format
 //!   ([`DecodedStream`]) with spin-phase detection, the input of the
 //!   simulator's batch replay path.
@@ -32,7 +34,5 @@ pub use bitstring::{BitReader, BitString};
 pub use compact::{AddrWidth, CompactTrace, DecodeError, DecodedPath, TraceRecorder};
 pub use decoded::{DecodedStream, SpinPhase};
 pub use paths::PathProfile;
-pub use stream::{CompactStream, RecordedStream, StreamStats};
-pub use stream_io::{
-    StreamIoError, load_compact_stream, load_stream, save_compact_stream, save_stream,
-};
+pub use stream::{CompactStream, StreamStats};
+pub use stream_io::{StreamIoError, load_compact_stream, save_compact_stream};

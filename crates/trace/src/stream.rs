@@ -2,83 +2,7 @@
 
 use rsel_program::{BranchKind, Entry, Program, Step};
 
-/// A recorded execution: the full [`Step`] stream of one run.
-///
-/// Recording lets the same dynamic execution be fed to several
-/// region-selection algorithms, guaranteeing an identical input stream —
-/// the property the paper gets by abstracting "all details of region
-/// selection ... out of the framework" (§2.3, footnote 4).
-///
-/// ```
-/// use rsel_program::{ProgramBuilder, BehaviorSpec, Executor};
-/// use rsel_trace::RecordedStream;
-///
-/// let mut b = ProgramBuilder::new();
-/// let f = b.function("main", 0x100);
-/// let bb = b.block(f);
-/// let ex = b.block_with(f, 0);
-/// b.cond_branch(bb, bb);
-/// b.ret(ex);
-/// let p = b.build().unwrap();
-/// let mut spec = BehaviorSpec::new(1);
-/// spec.loop_trips(p.block(bb).branch_addr().unwrap(), 3);
-/// let rec = RecordedStream::record(Executor::new(&p, spec));
-/// assert_eq!(rec.len(), rec.replay().count());
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecordedStream {
-    steps: Vec<Step>,
-}
-
-impl RecordedStream {
-    /// Records every step of `source` to completion.
-    pub fn record<I: IntoIterator<Item = Step>>(source: I) -> Self {
-        RecordedStream {
-            steps: source.into_iter().collect(),
-        }
-    }
-
-    /// Records at most `limit` steps of `source`.
-    pub fn record_bounded<I: IntoIterator<Item = Step>>(source: I, limit: usize) -> Self {
-        RecordedStream {
-            steps: source.into_iter().take(limit).collect(),
-        }
-    }
-
-    /// Number of recorded steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// The recorded steps.
-    pub fn steps(&self) -> &[Step] {
-        &self.steps
-    }
-
-    /// Iterates over the recorded steps by value.
-    pub fn replay(&self) -> impl Iterator<Item = Step> + '_ {
-        self.steps.iter().copied()
-    }
-}
-
-impl FromIterator<Step> for RecordedStream {
-    fn from_iter<I: IntoIterator<Item = Step>>(iter: I) -> Self {
-        RecordedStream::record(iter)
-    }
-}
-
-impl Extend<Step> for RecordedStream {
-    fn extend<I: IntoIterator<Item = Step>>(&mut self, iter: I) {
-        self.steps.extend(iter);
-    }
-}
-
-pub(crate) fn kind_to_tag(kind: BranchKind) -> u8 {
+fn kind_to_tag(kind: BranchKind) -> u8 {
     match kind {
         BranchKind::Cond => 0,
         BranchKind::Jump => 1,
@@ -101,28 +25,34 @@ pub(crate) fn tag_to_kind(tag: u8) -> Option<BranchKind> {
     })
 }
 
-const ENTRY_START: u8 = 0;
-const ENTRY_FALLTHROUGH: u8 = 1;
-const ENTRY_TAKEN_BASE: u8 = 2;
+pub(crate) const ENTRY_START: u8 = 0;
+pub(crate) const ENTRY_FALLTHROUGH: u8 = 1;
+pub(crate) const ENTRY_TAKEN_BASE: u8 = 2;
 
-/// A compactly recorded execution: one `u32` block index and one tag
-/// byte per step, with taken-branch sources in a side table.
+/// A recorded execution: one `u32` block index and one tag byte per
+/// step, with taken-branch sources in a side table.
 ///
-/// [`RecordedStream`] stores 32 bytes per step (a full [`Step`]).
-/// Because a step's `start` is always the start address of its block,
-/// the stream is fully determined by the block-index sequence, the
-/// entry tags, and — for taken entries only — the branch source. The
-/// compact form stores exactly that, cutting the per-step footprint to
-/// 5 bytes plus 8 per taken branch, so an entire workload matrix worth
-/// of executions fits comfortably in memory and can be replayed once
-/// per selector instead of re-executing the program.
+/// Recording lets the same dynamic execution be fed to several
+/// region-selection algorithms, guaranteeing an identical input stream —
+/// the property the paper gets by abstracting "all details of region
+/// selection ... out of the framework" (§2.3, footnote 4).
+///
+/// A full [`Step`] is 32 bytes. Because a step's `start` is always the
+/// start address of its block, the stream is fully determined by the
+/// block-index sequence, the entry tags, and — for taken entries only —
+/// the branch source. This form stores exactly that, cutting the
+/// per-step footprint to 5 bytes plus 8 per taken branch, so an entire
+/// workload matrix worth of executions fits comfortably in memory and
+/// can be replayed once per selector instead of re-executing the
+/// program. [`DecodedStream`](crate::DecodedStream) expands it once
+/// more into the simulator's batch replay input.
 ///
 /// Replay requires the [`Program`] the stream was recorded from: block
 /// indices are resolved back to [`Step`]s against it.
 ///
 /// ```
 /// use rsel_program::{ProgramBuilder, BehaviorSpec, Executor, Step};
-/// use rsel_trace::{CompactStream, RecordedStream};
+/// use rsel_trace::CompactStream;
 ///
 /// let mut b = ProgramBuilder::new();
 /// let f = b.function("main", 0x100);
@@ -160,16 +90,6 @@ impl CompactStream {
     /// Records at most `limit` steps of `source`.
     pub fn record_bounded<I: IntoIterator<Item = Step>>(source: I, limit: usize) -> Self {
         CompactStream::record(source.into_iter().take(limit))
-    }
-
-    /// Compacts an already-recorded stream.
-    pub fn from_recorded(rec: &RecordedStream) -> Self {
-        CompactStream::record(rec.replay())
-    }
-
-    /// Expands back into a full [`RecordedStream`].
-    pub fn to_recorded(&self, program: &Program) -> RecordedStream {
-        self.replay(program).collect()
     }
 
     /// Number of recorded steps.
@@ -329,7 +249,9 @@ mod tests {
     use super::*;
     use rsel_program::{BehaviorSpec, Executor, ProgramBuilder};
 
-    fn run() -> (Program, RecordedStream) {
+    /// A four-trip loop and its live executor steps: the reference
+    /// every recording is checked against.
+    fn run() -> (Program, Vec<Step>) {
         let mut b = ProgramBuilder::new();
         let f = b.function("main", 0x100);
         let head = b.block(f);
@@ -341,30 +263,12 @@ mod tests {
         let p = b.build().unwrap();
         let mut spec = BehaviorSpec::new(1);
         spec.loop_trips(p.block(body).branch_addr().unwrap(), 4);
-        let rec = RecordedStream::record(Executor::new(&p, spec));
-        (p, rec)
+        let live = Executor::new(&p, spec).collect();
+        (p, live)
     }
 
-    #[test]
-    fn replay_matches_recording() {
-        let (_, rec) = run();
-        let replayed: Vec<Step> = rec.replay().collect();
-        assert_eq!(replayed.as_slice(), rec.steps());
-        assert!(!rec.is_empty());
-    }
-
-    #[test]
-    fn stats_count_backward_branches() {
-        let (p, rec) = run();
-        let stats = StreamStats::collect(&p, rec.steps());
-        // 4 iterations -> 3 backward taken branches (the 4th falls out).
-        assert_eq!(stats.backward_taken, 3);
-        assert_eq!(stats.blocks, rec.len() as u64);
-        assert!(stats.instructions >= stats.blocks);
-    }
-
-    #[test]
-    fn bounded_recording_truncates() {
+    /// A program spinning forever on one block.
+    fn spin() -> (Program, BehaviorSpec) {
         let mut b = ProgramBuilder::new();
         let f = b.function("main", 0x100);
         let spin = b.block(f);
@@ -374,43 +278,44 @@ mod tests {
         let p = b.build().unwrap();
         let mut spec = BehaviorSpec::new(0);
         spec.always(p.block(spin).branch_addr().unwrap());
-        let rec = RecordedStream::record_bounded(Executor::new(&p, spec), 10);
-        assert_eq!(rec.len(), 10);
+        (p, spec)
     }
 
     #[test]
-    fn collect_from_iterator() {
-        let (_, rec) = run();
-        let again: RecordedStream = rec.replay().collect();
-        assert_eq!(again, rec);
+    fn stats_count_backward_branches() {
+        let (p, live) = run();
+        let stats = StreamStats::collect(&p, &live);
+        // 4 iterations -> 3 backward taken branches (the 4th falls out).
+        assert_eq!(stats.backward_taken, 3);
+        assert_eq!(stats.blocks, live.len() as u64);
+        assert!(stats.instructions >= stats.blocks);
     }
 
     #[test]
     fn compact_replay_is_bit_identical() {
-        let (p, rec) = run();
-        let compact = CompactStream::from_recorded(&rec);
+        let (p, live) = run();
+        let compact = CompactStream::record(live.iter().copied());
         let replayed: Vec<Step> = compact.replay(&p).collect();
-        assert_eq!(replayed.as_slice(), rec.steps());
-        assert_eq!(compact.to_recorded(&p), rec);
-        assert_eq!(compact.len(), rec.len());
+        assert_eq!(replayed, live);
+        assert_eq!(compact.len(), live.len());
     }
 
     #[test]
     fn compact_is_smaller_than_full_steps() {
-        let (_, rec) = run();
-        let compact = CompactStream::from_recorded(&rec);
+        let (_, live) = run();
+        let compact = CompactStream::record(live.iter().copied());
         assert!(!compact.is_empty());
-        assert!(compact.byte_size() < rec.len() * std::mem::size_of::<Step>());
+        assert!(compact.byte_size() < live.len() * std::mem::size_of::<Step>());
     }
 
     #[test]
     fn compact_taken_sources_preserved() {
-        let (p, rec) = run();
-        let compact = CompactStream::from_recorded(&rec);
+        let (p, live) = run();
+        let compact = CompactStream::record(live.iter().copied());
         // One zipped pass over both streams: every live taken entry
         // replays with the same source and kind.
         let mut live_taken = 0usize;
-        for (live, replayed) in rec.replay().zip(compact.replay(&p)) {
+        for (live, replayed) in live.iter().zip(compact.replay(&p)) {
             match (live.entry, replayed.entry) {
                 (Entry::Taken { src: a, kind: ka }, Entry::Taken { src: b, kind: kb }) => {
                     assert_eq!((a, ka), (b, kb));
@@ -424,25 +329,17 @@ mod tests {
 
     #[test]
     fn compact_stats_match_step_stats() {
-        let (p, rec) = run();
-        let compact = CompactStream::from_recorded(&rec);
+        let (p, live) = run();
+        let compact = CompactStream::record(live.iter().copied());
         assert_eq!(
             StreamStats::collect_compact(&p, &compact),
-            StreamStats::collect(&p, rec.steps())
+            StreamStats::collect(&p, &live)
         );
     }
 
     #[test]
     fn compact_bounded_recording_truncates() {
-        let mut b = ProgramBuilder::new();
-        let f = b.function("main", 0x100);
-        let spin = b.block(f);
-        let exit = b.block_with(f, 0);
-        b.cond_branch(spin, spin);
-        b.ret(exit);
-        let p = b.build().unwrap();
-        let mut spec = BehaviorSpec::new(0);
-        spec.always(p.block(spin).branch_addr().unwrap());
+        let (p, spec) = spin();
         let rec = CompactStream::record_bounded(Executor::new(&p, spec), 10);
         assert_eq!(rec.len(), 10);
         assert_eq!(rec.replay(&p).count(), 10);
@@ -450,8 +347,9 @@ mod tests {
 
     #[test]
     fn compact_collects_from_iterator() {
-        let (p, rec) = run();
-        let compact: CompactStream = rec.replay().collect();
-        assert_eq!(compact.to_recorded(&p), rec);
+        let (p, live) = run();
+        let compact: CompactStream = live.iter().copied().collect();
+        assert_eq!(compact, CompactStream::record(live.iter().copied()));
+        assert!(compact.replay(&p).eq(live));
     }
 }

@@ -2,25 +2,21 @@
 //!
 //! Record a workload's execution once and replay it offline against any
 //! number of selectors — what the paper's framework does by replaying
-//! Pin-collected block streams. The format is a small fixed-width
-//! little-endian encoding (magic, version, step count, then one record
-//! per step); loading validates every address against the program, so a
-//! stream can never desynchronize silently from the binary it claims to
-//! describe.
+//! Pin-collected block streams. The format (version 2) is little-endian:
+//! magic, version, step count and taken-branch count, then the
+//! [`CompactStream`]'s block indices, entry tags and taken-branch
+//! sources as three contiguous arrays. Loading validates every block
+//! index, tag and branch source against the program, so a stream can
+//! never desynchronize silently from the binary it claims to describe.
 
-use crate::stream::{CompactStream, RecordedStream, kind_to_tag, tag_to_kind};
-use rsel_program::{Addr, BranchKind, Entry, Program, Step};
+use crate::stream::{CompactStream, ENTRY_FALLTHROUGH, ENTRY_START, ENTRY_TAKEN_BASE, tag_to_kind};
+use rsel_program::{Addr, Program};
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"RSEL";
-const VERSION: u16 = 1;
-const COMPACT_VERSION: u16 = 2;
-
-const TAG_START: u8 = 0;
-const TAG_FALLTHROUGH: u8 = 1;
-const TAG_TAKEN: u8 = 2;
+const VERSION: u16 = 2;
 
 /// An error loading a recorded stream.
 #[derive(Debug)]
@@ -34,8 +30,8 @@ pub enum StreamIoError {
     BadVersion(u16),
     /// A structural tag byte is invalid.
     BadTag(u8),
-    /// A step names an address that is not a block start in the
-    /// program.
+    /// A step names a block index out of range for the program
+    /// (reported as an address-shaped diagnostic).
     UnknownBlock(Addr),
     /// The input continues past the end of a well-formed stream — a
     /// corrupted length field would otherwise be parsed as a silently
@@ -47,6 +43,16 @@ pub enum StreamIoError {
         header: u64,
         /// Taken entries implied by the tag array.
         tags: u64,
+    },
+    /// A taken entry's branch source is not the terminator of the
+    /// previous step's block (or the entry is the first step). The
+    /// executor only records terminator-to-block-start transfers, and
+    /// FORM-TRACE relies on it.
+    MisalignedSource {
+        /// Index of the offending step.
+        step: u64,
+        /// The recorded branch source.
+        src: Addr,
     },
 }
 
@@ -69,6 +75,10 @@ impl fmt::Display for StreamIoError {
                     "header claims {header} taken branches but tags encode {tags}"
                 )
             }
+            StreamIoError::MisalignedSource { step, src } => write!(
+                f,
+                "taken entry at step {step} has source {src}, not the previous block's terminator"
+            ),
         }
     }
 }
@@ -88,97 +98,6 @@ impl From<io::Error> for StreamIoError {
     }
 }
 
-fn kind_tag(kind: BranchKind) -> u8 {
-    kind_to_tag(kind)
-}
-
-fn tag_kind(tag: u8) -> Result<BranchKind, StreamIoError> {
-    tag_to_kind(tag).ok_or(StreamIoError::BadTag(tag))
-}
-
-/// Writes `stream` to `writer` (a `&mut` reference works too, as for
-/// all `W: Write` APIs).
-///
-/// # Errors
-///
-/// Propagates any I/O error from the writer.
-pub fn save_stream<W: Write>(stream: &RecordedStream, mut writer: W) -> io::Result<()> {
-    writer.write_all(MAGIC)?;
-    writer.write_all(&VERSION.to_le_bytes())?;
-    writer.write_all(&(stream.len() as u64).to_le_bytes())?;
-    for step in stream.steps() {
-        writer.write_all(&step.start.raw().to_le_bytes())?;
-        match step.entry {
-            Entry::Start => writer.write_all(&[TAG_START])?,
-            Entry::Fallthrough => writer.write_all(&[TAG_FALLTHROUGH])?,
-            Entry::Taken { src, kind } => {
-                writer.write_all(&[TAG_TAKEN, kind_tag(kind)])?;
-                writer.write_all(&src.raw().to_le_bytes())?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Reads a stream from `reader`, resolving every block against
-/// `program`.
-///
-/// # Errors
-///
-/// Returns a [`StreamIoError`] on I/O failure, malformed input, or an
-/// address that is not a block start of `program`.
-pub fn load_stream<R: Read>(
-    program: &Program,
-    mut reader: R,
-) -> Result<RecordedStream, StreamIoError> {
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(StreamIoError::BadMagic);
-    }
-    let mut u16b = [0u8; 2];
-    reader.read_exact(&mut u16b)?;
-    let version = u16::from_le_bytes(u16b);
-    if version != VERSION {
-        return Err(StreamIoError::BadVersion(version));
-    }
-    let mut u64b = [0u8; 8];
-    reader.read_exact(&mut u64b)?;
-    let count = u64::from_le_bytes(u64b);
-    let mut steps = Vec::with_capacity(count.min(1 << 24) as usize);
-    for _ in 0..count {
-        reader.read_exact(&mut u64b)?;
-        let start = Addr::new(u64::from_le_bytes(u64b));
-        let block = program
-            .block_at(start)
-            .ok_or(StreamIoError::UnknownBlock(start))?
-            .id();
-        let mut tag = [0u8; 1];
-        reader.read_exact(&mut tag)?;
-        let entry = match tag[0] {
-            TAG_START => Entry::Start,
-            TAG_FALLTHROUGH => Entry::Fallthrough,
-            TAG_TAKEN => {
-                let mut kt = [0u8; 1];
-                reader.read_exact(&mut kt)?;
-                let kind = tag_kind(kt[0])?;
-                reader.read_exact(&mut u64b)?;
-                Entry::Taken {
-                    src: Addr::new(u64::from_le_bytes(u64b)),
-                    kind,
-                }
-            }
-            t => return Err(StreamIoError::BadTag(t)),
-        };
-        steps.push(Step {
-            block,
-            start,
-            entry,
-        });
-    }
-    Ok(steps.into_iter().collect())
-}
-
 /// Writes `stream` in the compact (version 2) on-disk format: block
 /// indices, entry tags, and taken-branch sources as three contiguous
 /// little-endian arrays.
@@ -189,7 +108,7 @@ pub fn load_stream<R: Read>(
 pub fn save_compact_stream<W: Write>(stream: &CompactStream, mut writer: W) -> io::Result<()> {
     let (blocks, tags, srcs) = stream.raw_parts();
     writer.write_all(MAGIC)?;
-    writer.write_all(&COMPACT_VERSION.to_le_bytes())?;
+    writer.write_all(&VERSION.to_le_bytes())?;
     writer.write_all(&(blocks.len() as u64).to_le_bytes())?;
     writer.write_all(&(srcs.len() as u64).to_le_bytes())?;
     for b in blocks {
@@ -203,13 +122,14 @@ pub fn save_compact_stream<W: Write>(stream: &CompactStream, mut writer: W) -> i
 }
 
 /// Reads a compact (version 2) stream from `reader`, validating every
-/// block index and entry tag against `program`.
+/// block index, entry tag and taken-branch source against `program`.
 ///
 /// # Errors
 ///
 /// Returns a [`StreamIoError`] on I/O failure, malformed input, a
-/// block index out of range for `program`, or a taken-source count
-/// that does not match the tags.
+/// block index out of range for `program`, a taken-source count that
+/// does not match the tags, or a taken-branch source that is not the
+/// previous step's block terminator.
 pub fn load_compact_stream<R: Read>(
     program: &Program,
     mut reader: R,
@@ -222,7 +142,7 @@ pub fn load_compact_stream<R: Read>(
     let mut u16b = [0u8; 2];
     reader.read_exact(&mut u16b)?;
     let version = u16::from_le_bytes(u16b);
-    if version != COMPACT_VERSION {
+    if version != VERSION {
         return Err(StreamIoError::BadVersion(version));
     }
     let mut u64b = [0u8; 8];
@@ -248,8 +168,10 @@ pub fn load_compact_stream<R: Read>(
     let mut expected_taken = 0usize;
     for &t in &tags {
         match t {
-            TAG_START | TAG_FALLTHROUGH => {}
-            t if (2..8).contains(&t) => expected_taken += 1,
+            ENTRY_START | ENTRY_FALLTHROUGH => {}
+            t if t >= ENTRY_TAKEN_BASE && tag_to_kind(t - ENTRY_TAKEN_BASE).is_some() => {
+                expected_taken += 1;
+            }
             t => return Err(StreamIoError::BadTag(t)),
         }
     }
@@ -260,9 +182,23 @@ pub fn load_compact_stream<R: Read>(
         });
     }
     let mut srcs = Vec::with_capacity(taken.min(1 << 24));
-    for _ in 0..taken {
+    for (step, _) in tags
+        .iter()
+        .enumerate()
+        .filter(|&(_, &t)| t >= ENTRY_TAKEN_BASE)
+    {
         reader.read_exact(&mut u64b)?;
-        srcs.push(Addr::new(u64::from_le_bytes(u64b)));
+        let src = Addr::new(u64::from_le_bytes(u64b));
+        let prev_term = step
+            .checked_sub(1)
+            .map(|prev| program.blocks()[blocks[prev] as usize].terminator().addr());
+        if prev_term != Some(src) {
+            return Err(StreamIoError::MisalignedSource {
+                step: step as u64,
+                src,
+            });
+        }
+        srcs.push(src);
     }
     // A well-formed stream consumes the input exactly; anything left
     // means a corrupted length field shrank the parse, and accepting it
@@ -281,7 +217,7 @@ mod tests {
     use super::*;
     use rsel_program::{BehaviorSpec, Executor, ProgramBuilder};
 
-    fn program_and_stream() -> (Program, RecordedStream) {
+    fn program_and_stream() -> (Program, CompactStream) {
         let mut b = ProgramBuilder::new();
         let f = b.function("main", 0x100);
         let head = b.block(f);
@@ -293,89 +229,37 @@ mod tests {
         let p = b.build().unwrap();
         let mut spec = BehaviorSpec::new(1);
         spec.loop_trips(p.block(body).branch_addr().unwrap(), 20);
-        let stream = RecordedStream::record(Executor::new(&p, spec));
+        let stream = CompactStream::record(Executor::new(&p, spec));
         (p, stream)
     }
 
-    #[test]
-    fn round_trip() {
-        let (p, stream) = program_and_stream();
+    fn saved(stream: &CompactStream) -> Vec<u8> {
         let mut buf = Vec::new();
-        save_stream(&stream, &mut buf).unwrap();
-        let loaded = load_stream(&p, buf.as_slice()).unwrap();
-        assert_eq!(loaded, stream);
+        save_compact_stream(stream, &mut buf).unwrap();
+        buf
     }
 
     #[test]
     fn bad_magic_rejected() {
         let (p, _) = program_and_stream();
-        let err = load_stream(&p, b"NOPE".as_slice()).unwrap_err();
+        let err = load_compact_stream(&p, b"NOPE".as_slice()).unwrap_err();
         assert!(matches!(err, StreamIoError::BadMagic), "{err}");
     }
 
     #[test]
     fn truncated_input_is_an_io_error() {
         let (p, stream) = program_and_stream();
-        let mut buf = Vec::new();
-        save_stream(&stream, &mut buf).unwrap();
+        let mut buf = saved(&stream);
         buf.truncate(buf.len() - 3);
-        let err = load_stream(&p, buf.as_slice()).unwrap_err();
+        let err = load_compact_stream(&p, buf.as_slice()).unwrap_err();
         assert!(matches!(err, StreamIoError::Io(_)), "{err}");
     }
 
     #[test]
     fn wrong_program_detected() {
         let (_, stream) = program_and_stream();
-        let mut buf = Vec::new();
-        save_stream(&stream, &mut buf).unwrap();
-        // A different program whose blocks sit elsewhere.
-        let mut b = ProgramBuilder::new();
-        let f = b.function("other", 0x9000);
-        let x = b.block(f);
-        b.ret(x);
-        let other = b.build().unwrap();
-        let err = load_stream(&other, buf.as_slice()).unwrap_err();
-        assert!(matches!(err, StreamIoError::UnknownBlock(_)), "{err}");
-    }
-
-    #[test]
-    fn version_mismatch_detected() {
-        let (p, stream) = program_and_stream();
-        let mut buf = Vec::new();
-        save_stream(&stream, &mut buf).unwrap();
-        buf[4] = 0xff; // corrupt the version field
-        let err = load_stream(&p, buf.as_slice()).unwrap_err();
-        assert!(matches!(err, StreamIoError::BadVersion(_)), "{err}");
-    }
-
-    #[test]
-    fn compact_round_trip() {
-        let (p, stream) = program_and_stream();
-        let compact = CompactStream::from_recorded(&stream);
-        let mut buf = Vec::new();
-        save_compact_stream(&compact, &mut buf).unwrap();
-        let loaded = load_compact_stream(&p, buf.as_slice()).unwrap();
-        assert_eq!(loaded, compact);
-        assert_eq!(loaded.to_recorded(&p), stream);
-    }
-
-    #[test]
-    fn compact_is_denser_on_disk() {
-        let (_, stream) = program_and_stream();
-        let compact = CompactStream::from_recorded(&stream);
-        let mut full = Vec::new();
-        save_stream(&stream, &mut full).unwrap();
-        let mut small = Vec::new();
-        save_compact_stream(&compact, &mut small).unwrap();
-        assert!(small.len() < full.len());
-    }
-
-    #[test]
-    fn compact_rejects_foreign_program() {
-        let (_, stream) = program_and_stream();
-        let compact = CompactStream::from_recorded(&stream);
-        let mut buf = Vec::new();
-        save_compact_stream(&compact, &mut buf).unwrap();
+        let buf = saved(&stream);
+        // A different program with fewer blocks.
         let mut b = ProgramBuilder::new();
         let f = b.function("other", 0x9000);
         let x = b.block(f);
@@ -386,28 +270,66 @@ mod tests {
     }
 
     #[test]
-    fn compact_version_field_distinguishes_formats() {
+    fn version_mismatch_detected() {
         let (p, stream) = program_and_stream();
-        let compact = CompactStream::from_recorded(&stream);
-        let mut buf = Vec::new();
-        save_compact_stream(&compact, &mut buf).unwrap();
-        // The v1 loader refuses a compact stream and vice versa.
-        let err = load_stream(&p, buf.as_slice()).unwrap_err();
-        assert!(matches!(err, StreamIoError::BadVersion(2)), "{err}");
-        let mut v1 = Vec::new();
-        save_stream(&stream, &mut v1).unwrap();
-        let err = load_compact_stream(&p, v1.as_slice()).unwrap_err();
+        let mut buf = saved(&stream);
+        // The retired per-step format was version 1.
+        buf[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let err = load_compact_stream(&p, buf.as_slice()).unwrap_err();
         assert!(matches!(err, StreamIoError::BadVersion(1)), "{err}");
     }
 
     #[test]
-    fn replayed_stream_drives_identical_simulation() {
-        // The serialized stream is byte-for-byte sufficient to drive a
-        // simulation to the same result as the live executor.
+    fn compact_round_trip() {
         let (p, stream) = program_and_stream();
-        let mut buf = Vec::new();
-        save_stream(&stream, &mut buf).unwrap();
-        let loaded = load_stream(&p, buf.as_slice()).unwrap();
-        assert_eq!(loaded.steps(), stream.steps());
+        let loaded = load_compact_stream(&p, saved(&stream).as_slice()).unwrap();
+        assert_eq!(loaded, stream);
+    }
+
+    #[test]
+    fn file_is_header_plus_payload() {
+        let (_, stream) = program_and_stream();
+        // Magic, version, two counts, then exactly the in-memory
+        // payload.
+        assert_eq!(saved(&stream).len(), 4 + 2 + 8 + 8 + stream.byte_size());
+    }
+
+    #[test]
+    fn misaligned_taken_source_rejected() {
+        let (p, stream) = program_and_stream();
+        let mut buf = saved(&stream);
+        // Move the first taken source from its block's terminator into
+        // the block body.
+        let srcs_at = buf.len() - 8 * stream.taken_count();
+        let src = u64::from_le_bytes(buf[srcs_at..srcs_at + 8].try_into().unwrap());
+        let inside = p.block_containing(Addr::new(src)).unwrap().start();
+        assert_ne!(inside.raw(), src, "the source block has a body");
+        buf[srcs_at..srcs_at + 8].copy_from_slice(&inside.raw().to_le_bytes());
+        let err = load_compact_stream(&p, buf.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, StreamIoError::MisalignedSource { src, .. } if src == inside),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn taken_first_step_rejected() {
+        let (p, stream) = program_and_stream();
+        let mut buf = saved(&stream);
+        // Retag step 0 as taken and give it a source: the counts agree,
+        // but no earlier block exists to have branched.
+        let count = stream.len();
+        let tags_at = 4 + 2 + 8 + 8 + 4 * count;
+        buf[tags_at] = ENTRY_TAKEN_BASE;
+        let taken = stream.taken_count() as u64 + 1;
+        buf[14..22].copy_from_slice(&taken.to_le_bytes());
+        let srcs_at = tags_at + count;
+        let src = p.blocks()[0].terminator().addr().raw().to_le_bytes();
+        buf.splice(srcs_at..srcs_at, src);
+        let err = load_compact_stream(&p, buf.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, StreamIoError::MisalignedSource { step: 0, .. }),
+            "{err}"
+        );
     }
 }

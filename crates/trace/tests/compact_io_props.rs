@@ -3,12 +3,13 @@
 //! `load_compact_stream` is fed corrupted inputs — truncations at every
 //! possible length and single-bit flips at arbitrary positions — and
 //! must always either return a typed [`StreamIoError`] or a stream that
-//! is fully valid against the program. It must never panic, and it must
-//! never silently yield a *short* stream: a corrupted byte count that
-//! drops steps is detected via the trailing-data check.
+//! is fully valid against the program, every taken-branch source
+//! included. It must never panic, and it must never silently yield a
+//! *short* stream: a corrupted byte count that drops steps is detected
+//! via the trailing-data check.
 
 use proptest::prelude::*;
-use rsel_program::{BehaviorSpec, Executor, Program, ProgramBuilder};
+use rsel_program::{BehaviorSpec, BlockId, Entry, Executor, Program, ProgramBuilder};
 use rsel_trace::{CompactStream, load_compact_stream, save_compact_stream};
 
 /// A looping program with conditional, indirect, and return branches,
@@ -79,6 +80,16 @@ proptest! {
                 prop_assert_eq!(loaded.len(), original.len(),
                     "accepted stream silently changed length");
                 prop_assert_eq!(loaded.replay(&p).count(), original.len());
+                // Every taken source it accepts leaves the previous
+                // step's block at its terminator.
+                let mut prev: Option<BlockId> = None;
+                for (i, step) in loaded.replay(&p).enumerate() {
+                    if let Entry::Taken { src, .. } = step.entry {
+                        let term = prev.map(|b| p.block(b).terminator().addr());
+                        prop_assert_eq!(term, Some(src), "misaligned source at step {}", i);
+                    }
+                    prev = Some(step.block);
+                }
             }
         }
     }

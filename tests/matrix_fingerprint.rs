@@ -16,14 +16,17 @@
 //! schedule with self-modifying-code writes, flush waves and counter
 //! faults. Each asserts that its paths were actually taken.
 //!
+//! Each recording is also checked for the fact the block-granular trace
+//! walks rest on: every taken branch leaves a block at its terminator.
+//!
 //! If a change *means* to alter selection behaviour, re-derive the
 //! constant it moves (the failure message prints the new value) and
 //! explain the shift in the commit.
 
 use regionsel::core::select::SelectorKind;
 use regionsel::core::{RunReport, SimConfig, Simulator};
-use regionsel::program::Executor;
 use regionsel::program::fxhash::FxHasher;
+use regionsel::program::{BlockId, Entry, Executor, Program};
 use regionsel::trace::{CompactStream, DecodedStream};
 use regionsel::workloads::{Scale, suite};
 use std::hash::Hasher;
@@ -68,6 +71,20 @@ const FAULTED_GOLDEN: [(SelectorKind, u64); 8] = [
     (SelectorKind::Adore, 0x4ab5e556b88d0d80),
 ];
 
+/// Every recorded taken branch leaves the previous step's block at its
+/// terminator. FORM-TRACE and compact-trace decoding walk a block at a
+/// time and have no instruction-granular fallback, so they rely on it.
+fn assert_taken_sources_are_terminators(program: &Program, compact: &CompactStream, name: &str) {
+    let mut prev: Option<BlockId> = None;
+    for (i, step) in compact.replay(program).enumerate() {
+        if let Entry::Taken { src, .. } = step.entry {
+            let term = prev.map(|b| program.block(b).terminator().addr());
+            assert_eq!(term, Some(src), "{name}: taken entry at step {i}");
+        }
+        prev = Some(step.block);
+    }
+}
+
 /// Replays the test-scale matrix under `config`, checks each
 /// selector's fingerprint against `golden`, and returns every report.
 fn check_matrix(config: &SimConfig, golden: &[(SelectorKind, u64); 8]) -> Vec<RunReport> {
@@ -76,10 +93,9 @@ fn check_matrix(config: &SimConfig, golden: &[(SelectorKind, u64); 8]) -> Vec<Ru
     let mut reports = Vec::new();
     for w in suite() {
         let (program, spec) = w.build(SEED, Scale::Test);
-        let decoded = DecodedStream::decode(
-            CompactStream::record(Executor::new(&program, spec)),
-            &program,
-        );
+        let compact = CompactStream::record(Executor::new(&program, spec));
+        assert_taken_sources_are_terminators(&program, &compact, w.name());
+        let decoded = DecodedStream::decode(compact, &program);
         for (h, &kind) in hashers.iter_mut().zip(&kinds) {
             let mut sim = Simulator::new(&program, kind.make(&program, config), config);
             sim.replay_decoded(&decoded);
