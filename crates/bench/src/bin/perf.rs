@@ -11,12 +11,12 @@
 //! its live counterpart.
 
 use rsel_bench::harness::{
-    DEFAULT_SEED, RecordedWorkload, record_suite, replay_matrix, run_matrix_serial_live,
-    run_matrix_with_jobs,
+    DEFAULT_SEED, record_suite, replay, replay_matrix, run_matrix_serial_live, run_matrix_with_jobs,
 };
 use rsel_bench::{jobs_from_env, scale_from_env};
 use rsel_core::SimConfig;
 use rsel_core::select::SelectorKind;
+use rsel_runtime::TenantSpec;
 use rsel_workloads::Scale;
 use std::time::Instant;
 
@@ -55,7 +55,7 @@ fn ms(start: Instant) -> f64 {
 /// Serial wall time of replaying every recorded workload through each
 /// selector in turn: where the matrix's replay time goes.
 fn replay_by_selector(
-    recorded: &[RecordedWorkload],
+    recorded: &[TenantSpec],
     kinds: &[SelectorKind],
     config: &SimConfig,
 ) -> Vec<(SelectorKind, f64)> {
@@ -64,7 +64,7 @@ fn replay_by_selector(
         .map(|&kind| {
             let t = Instant::now();
             for r in recorded {
-                std::hint::black_box(r.replay(kind, config));
+                std::hint::black_box(replay(r, kind, config));
             }
             (kind, ms(t))
         })

@@ -70,13 +70,9 @@
 //!   finish); `extended` additionally explores all eight selector
 //!   algorithms instead of the core four; `legacy` restores the fixed
 //!   four-candidate schedule for every tenant;
-//! - `RSEL_UTILITY_EVICT` — nonzero ranks pressure victims by bytes
-//!   per recent cached instruction (cold bulk sheds first) instead of
-//!   raw byte footprint, per-tenant in each shard and per-entry in
-//!   the shared store;
 //! - `RSEL_SHARDS` / `RSEL_SHARD_CAP` — shard count (default 16) and
 //!   per-shard byte budget (default 2048), for dialing cache pressure
-//!   up or down when comparing eviction policies.
+//!   up or down.
 //!
 //! `RSEL_SNAPSHOT=path` enables warm-start persistence. Loading is
 //! *lenient* by default: a tenant whose saved state no longer matches
@@ -232,7 +228,6 @@ fn knobs(var: impl Fn(&str) -> Option<String>) -> Result<Knobs, KnobError> {
     config.reconnect_cold = var("RSEL_RECONNECT_COLD").is_some();
     config.share = knob::<u64>(&var, "RSEL_SHARE", 0)? != 0;
     config.quarantine_penalty = knob(&var, "RSEL_QUARANTINE_PENALTY", 0)?;
-    config.utility_evict = knob::<u64>(&var, "RSEL_UTILITY_EVICT", 0)? != 0;
     config.shard_count = count_knob(&var, "RSEL_SHARDS", config.shard_count)?;
     config.shard_capacity = knob(&var, "RSEL_SHARD_CAP", config.shard_capacity)?;
     // The policy engine needs the serving epoch length to size each
@@ -295,9 +290,6 @@ fn main() {
             "policy: {policy_mode} (stream-shaped explore schedules, {} candidates)",
             config.policy.candidates.len()
         );
-    }
-    if config.utility_evict {
-        eprintln!("utility eviction enabled: victims ranked by bytes per recent cached inst");
     }
     if config.churn.active() {
         eprintln!(
@@ -415,14 +407,6 @@ fn main() {
             "  exploit: {} mean rounds to first exploit, {} tenant(s) never got there",
             exploit,
             rep.never_exploited(),
-        );
-    }
-    if config.utility_evict {
-        let utility: u64 = rep.tenants.iter().map(|t| t.utility_evictions).sum();
-        eprintln!(
-            "  utility eviction: {} of {} pressure-evicted regions chosen by utility",
-            utility,
-            rep.tenants.iter().map(|t| t.pressure_evicted).sum::<u64>(),
         );
     }
     if config.sim.faults.active() {

@@ -10,11 +10,12 @@
 //! feeding them to every region-selection algorithm (§2.3).
 //!
 //! Recording is also *decode-once*: the compact byte stream is expanded
-//! to a dense [`DecodedStream`] a single time per workload, so the
-//! per-selector replays walk plain arrays (and fast-forward detected
-//! spin phases) instead of re-decoding varints and re-hashing block
-//! tables eight times over. Workers additionally recycle their
-//! simulator side tables ([`ReplayScratch`]) from cell to cell.
+//! to a dense [`DecodedStream`](rsel_trace::DecodedStream) a single
+//! time per workload, so the per-selector replays walk plain arrays
+//! (and fast-forward detected spin phases) instead of re-decoding
+//! varints and re-hashing block tables eight times over. Workers
+//! additionally recycle their simulator side tables ([`ReplayScratch`])
+//! from cell to cell.
 //!
 //! Cells are independently replayable, so the matrix fans them out
 //! across scoped worker threads (`RSEL_JOBS` workers, defaulting to the
@@ -25,8 +26,8 @@
 use rsel_core::metrics::RunReport;
 use rsel_core::select::SelectorKind;
 use rsel_core::{ReplayScratch, SimConfig, Simulator};
-use rsel_program::{Executor, Program};
-use rsel_trace::{CompactStream, DecodedStream};
+use rsel_program::Executor;
+use rsel_runtime::TenantSpec;
 use rsel_workloads::{Scale, Workload, suite};
 use std::collections::HashMap;
 use std::error::Error;
@@ -43,7 +44,7 @@ pub const DEFAULT_SEED: u64 = 2005;
 ///
 /// This is the *live* pipeline: it builds the program and re-executes
 /// it under the behavior spec. The matrix instead records each
-/// workload once ([`RecordedWorkload`]) and replays; the two produce
+/// workload once ([`TenantSpec`]) and replays; the two produce
 /// bit-identical reports.
 pub fn run_one(
     workload: &Workload,
@@ -58,101 +59,62 @@ pub fn run_one(
     sim.report()
 }
 
-/// One workload's program plus its compactly recorded execution,
-/// replayable against any number of selectors.
-pub struct RecordedWorkload {
-    name: &'static str,
-    program: Program,
-    decoded: DecodedStream,
+/// The benchmark under `perfbench/` imports the recorded-workload type
+/// by this older name, so the alias keeps it building.
+pub use rsel_runtime::TenantSpec as RecordedWorkload;
+
+/// Replays `spec`'s recording through one selector.
+pub fn replay(spec: &TenantSpec, kind: SelectorKind, config: &SimConfig) -> RunReport {
+    replay_recycled(spec, kind, config, &mut ReplayScratch::default())
 }
 
-impl RecordedWorkload {
-    /// Builds the workload, records its full execution once, and
-    /// decodes the recording once for all subsequent replays.
-    pub fn record(workload: &Workload, seed: u64, scale: Scale) -> Self {
-        let (program, spec) = workload.build(seed, scale);
-        let stream = CompactStream::record(Executor::new(&program, spec));
-        let decoded = DecodedStream::decode(stream, &program);
-        RecordedWorkload {
-            name: workload.name(),
-            program,
-            decoded,
+/// [`replay`] on recycled simulator buffers; the scratch is taken,
+/// reused, and replaced for the next cell.
+pub fn replay_recycled(
+    spec: &TenantSpec,
+    kind: SelectorKind,
+    config: &SimConfig,
+    scratch: &mut ReplayScratch,
+) -> RunReport {
+    let mut sim = Simulator::recycled(
+        spec.program(),
+        kind.make(spec.program(), config),
+        config,
+        std::mem::take(scratch),
+    );
+    sim.replay_decoded(spec.decoded());
+    let report = sim.report();
+    *scratch = sim.into_scratch();
+    report
+}
+
+/// Number of matrix worker threads: `RSEL_JOBS` when set, otherwise
+/// the machine's available parallelism. A set value that is not a
+/// positive integer is reported to stderr and the process exits with
+/// status 1, so a typo'd job count cannot silently change how a
+/// benchmark runs.
+pub fn jobs_from_env() -> usize {
+    match parse_jobs(std::env::var_os("RSEL_JOBS").as_deref()) {
+        Ok(Some(jobs)) => jobs,
+        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
     }
-
-    /// The workload's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The built program.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// The recorded execution stream (owned by the decoded form).
-    pub fn stream(&self) -> &CompactStream {
-        self.decoded.compact()
-    }
-
-    /// The decode-once struct-of-arrays form of the recording.
-    pub fn decoded(&self) -> &DecodedStream {
-        &self.decoded
-    }
-
-    /// Replays the recording through one selector.
-    pub fn replay(&self, kind: SelectorKind, config: &SimConfig) -> RunReport {
-        let mut sim = Simulator::new(&self.program, kind.make(&self.program, config), config);
-        sim.replay_decoded(&self.decoded);
-        sim.report()
-    }
-
-    /// [`RecordedWorkload::replay`] on recycled simulator buffers; the
-    /// scratch is taken, reused, and replaced for the next cell.
-    pub fn replay_recycled(
-        &self,
-        kind: SelectorKind,
-        config: &SimConfig,
-        scratch: &mut ReplayScratch,
-    ) -> RunReport {
-        let mut sim = Simulator::recycled(
-            &self.program,
-            kind.make(&self.program, config),
-            config,
-            std::mem::take(scratch),
-        );
-        sim.replay_decoded(&self.decoded);
-        let report = sim.report();
-        *scratch = sim.into_scratch();
-        report
-    }
 }
 
-/// Number of matrix worker threads: `RSEL_JOBS` when set to a positive
-/// integer, otherwise the machine's available parallelism.
-///
-/// A set-but-invalid `RSEL_JOBS` (not a positive integer) is reported
-/// to stderr before falling back, so a typo'd job count cannot
-/// silently change how a benchmark runs.
-pub fn jobs_from_env() -> usize {
-    let fallback = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    match std::env::var("RSEL_JOBS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                let jobs = fallback();
-                eprintln!(
-                    "warning: ignoring invalid RSEL_JOBS={v:?} \
-                     (expected a positive integer); using {jobs} workers"
-                );
-                jobs
-            }
-        },
-        Err(_) => fallback(),
+/// Parses an `RSEL_JOBS` value: `None` when unset, the count for a
+/// positive integer (surrounding whitespace allowed), and an error
+/// message naming the knob for anything else.
+fn parse_jobs(raw: Option<&OsStr>) -> Result<Option<usize>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    match raw.to_str().map(|v| v.trim().parse::<usize>()) {
+        Some(Ok(n)) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!(
+            "RSEL_JOBS must be a positive integer, got {:?}",
+            raw.to_string_lossy()
+        )),
     }
 }
 
@@ -245,18 +207,15 @@ impl MatrixResults {
 }
 
 /// Records the whole suite once at `(seed, scale)`.
-pub fn record_suite(seed: u64, scale: Scale) -> Vec<RecordedWorkload> {
-    suite()
-        .iter()
-        .map(|w| RecordedWorkload::record(w, seed, scale))
-        .collect()
+pub fn record_suite(seed: u64, scale: Scale) -> Vec<TenantSpec> {
+    TenantSpec::record_suite(seed, scale)
 }
 
 /// Replays previously recorded workloads through every selector on
 /// `jobs` worker threads, assembling the same deterministic
 /// [`MatrixResults`] a serial run would produce.
 pub fn replay_matrix(
-    recorded: &[RecordedWorkload],
+    recorded: &[TenantSpec],
     kinds: &[SelectorKind],
     config: &SimConfig,
     jobs: usize,
@@ -267,7 +226,7 @@ pub fn replay_matrix(
         .flat_map(|(wi, _)| kinds.iter().map(move |&k| (wi, k)))
         .collect();
     let results = par_map_with(&cells, jobs, ReplayScratch::default, |scratch, &(wi, k)| {
-        recorded[wi].replay_recycled(k, config, scratch)
+        replay_recycled(&recorded[wi], k, config, scratch)
     });
     let mut reports = HashMap::with_capacity(cells.len());
     for (&(wi, k), rep) in cells.iter().zip(results) {
@@ -407,6 +366,19 @@ mod tests {
     }
 
     #[test]
+    fn jobs_knob_accepts_only_positive_integers() {
+        assert_eq!(parse_jobs(None), Ok(None));
+        for (raw, jobs) in [("1", 1), ("8", 8), (" 4 ", 4)] {
+            assert_eq!(parse_jobs(Some(OsStr::new(raw))), Ok(Some(jobs)), "{raw:?}");
+        }
+        for bad in ["0", "-1", "abc", ""] {
+            let err = parse_jobs(Some(OsStr::new(bad))).unwrap_err();
+            assert!(err.contains("RSEL_JOBS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
     fn matrix_covers_all_cells() {
         let cfg = SimConfig::default();
         let m = run_matrix(&[SelectorKind::Net], 1, Scale::Test, &cfg);
@@ -444,9 +416,9 @@ mod tests {
     fn replay_matches_live_run() {
         let cfg = SimConfig::default();
         let w = &suite()[0];
-        let rec = RecordedWorkload::record(w, 7, Scale::Test);
+        let rec = TenantSpec::record(w, 7, Scale::Test);
         let live = run_one(w, SelectorKind::Lei, 7, Scale::Test, &cfg);
-        let replayed = rec.replay(SelectorKind::Lei, &cfg);
+        let replayed = replay(&rec, SelectorKind::Lei, &cfg);
         assert_eq!(replayed, live);
     }
 

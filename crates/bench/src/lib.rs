@@ -19,8 +19,8 @@ pub mod harness;
 pub mod table;
 
 pub use harness::{
-    DEFAULT_SEED, MatrixResults, RecordedWorkload, ScaleError, jobs_from_env, record_suite,
-    replay_matrix, run_matrix, run_matrix_from_env, run_matrix_serial_live, run_matrix_with_jobs,
-    run_one, scale_from_env, scale_or_exit,
+    DEFAULT_SEED, MatrixResults, ScaleError, jobs_from_env, record_suite, replay_matrix,
+    run_matrix, run_matrix_from_env, run_matrix_serial_live, run_matrix_with_jobs, run_one,
+    scale_from_env, scale_or_exit,
 };
 pub use table::{Table, geomean};

@@ -3,12 +3,11 @@
 //! `RunReport` level — from re-executing the workload live, and the
 //! parallel matrix must equal the serial matrix cell for cell.
 
-use rsel_bench::harness::{
-    RecordedWorkload, run_matrix_serial_live, run_matrix_with_jobs, run_one,
-};
+use rsel_bench::harness::{replay, run_matrix_serial_live, run_matrix_with_jobs, run_one};
 use rsel_core::SimConfig;
 use rsel_core::select::SelectorKind;
 use rsel_core::sim::faults::FaultConfig;
+use rsel_runtime::TenantSpec;
 use rsel_workloads::{Scale, suite};
 
 /// A fault schedule aggressive enough to fire at Test scale.
@@ -30,10 +29,10 @@ fn replay_equals_live_for_every_selector() {
     let cfg = SimConfig::default();
     let workloads = suite();
     for w in workloads.iter().take(3) {
-        let rec = RecordedWorkload::record(w, 2005, Scale::Test);
+        let rec = TenantSpec::record(w, 2005, Scale::Test);
         for kind in SelectorKind::extended() {
             let live = run_one(w, kind, 2005, Scale::Test, &cfg);
-            let replayed = rec.replay(kind, &cfg);
+            let replayed = replay(&rec, kind, &cfg);
             assert_eq!(replayed, live, "{} under {kind}", w.name());
         }
     }
@@ -43,10 +42,10 @@ fn replay_equals_live_for_every_selector() {
 fn replay_equals_live_with_fault_injection() {
     let cfg = faulty_config();
     let w = &suite()[0];
-    let rec = RecordedWorkload::record(w, 2005, Scale::Test);
+    let rec = TenantSpec::record(w, 2005, Scale::Test);
     for kind in SelectorKind::extended() {
         let live = run_one(w, kind, 2005, Scale::Test, &cfg);
-        let replayed = rec.replay(kind, &cfg);
+        let replayed = replay(&rec, kind, &cfg);
         assert_eq!(replayed, live, "{} under {kind} with faults", w.name());
     }
 }

@@ -215,15 +215,6 @@ impl<'p> Simulator<'p> {
         self.cache_insts
     }
 
-    /// Instructions ever executed from region `id`'s cached code.
-    /// Zero for ids the current cache generation has not touched;
-    /// resets with the id sequence at a full flush.
-    pub fn region_insts_executed(&self, id: RegionId) -> u64 {
-        self.runtime
-            .get(id.index())
-            .map_or(0, |rt| rt.insts_executed)
-    }
-
     /// Regions ever inserted into the cache (monotone: survives
     /// flushes, invalidations and evictions).
     pub fn regions_selected(&self) -> u64 {

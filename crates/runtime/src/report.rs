@@ -134,10 +134,6 @@ pub struct TenantSummary {
     pub regions_selected: u64,
     /// Regions evicted from this tenant by shard pressure.
     pub pressure_evicted: u64,
-    /// Regions evicted from this tenant by *utility-aware* pressure
-    /// waves (a subset of `pressure_evicted`; zero with the
-    /// utility-eviction knob off).
-    pub utility_evictions: u64,
     /// Stream-shape features the stream-adaptive policy derived this
     /// tenant's candidate schedule from; `None` under a non-adaptive
     /// base policy.
@@ -593,8 +589,7 @@ impl ServeReport {
                  \"admission_wait\": {}, \
                  \"finished_round\": {}, \"first_exploit_round\": {}, \"total_insts\": {}, \
                  \"cache_insts\": {}, \"hit_rate\": {:.4}, \"insts_selected\": {}, \
-                 \"regions_selected\": {}, \"pressure_evicted\": {}, \
-                 \"utility_evictions\": {}, \"smc_events\": {}, \
+                 \"regions_selected\": {}, \"pressure_evicted\": {}, \"smc_events\": {}, \
                  \"smc_invalidated\": {}, \"reformations\": {}, \"blacklisted_targets\": {}, \
                  \"blacklist_hits\": {}, \"disconnects\": {}, \"reconnects\": {}, \
                  \"crashes\": {}, \"recovered_epochs\": {}, \"checkpoints\": {}, \
@@ -618,7 +613,6 @@ impl ServeReport {
                 t.insts_selected,
                 t.regions_selected,
                 t.pressure_evicted,
-                t.utility_evictions,
                 t.smc_events,
                 t.smc_invalidated,
                 t.reformations,

@@ -37,12 +37,11 @@
 //!       Every departure releases the tenant's shard bytes and store
 //!       refs (`release`).
 //!    2. `relieve_pressure` resolves overflowing shards. Each one
-//!       plans its whole victim set — the top-ranked resident sheds
-//!       half its remaining regions there, repeatedly, until the shard
-//!       fits — then applies it with one eviction pass per victim
-//!       tenant. Residents rank by bytes, or under utility eviction by
-//!       bytes per recent cached instruction; in share mode the store
-//!       plans the wave over deduplicated entries instead.
+//!       plans its whole victim set — the resident with the most bytes
+//!       sheds half its remaining regions there, repeatedly, until the
+//!       shard fits — then applies it with one eviction pass per victim
+//!       tenant. In share mode the store plans the wave over
+//!       deduplicated entries instead, largest first.
 //!    3. `decide` feeds each epoch to its tenant's policy engine and
 //!       applies the selector switches it asks for.
 //!    4. `checkpoint_round` takes the periodic checkpoints that crash
@@ -204,12 +203,6 @@ pub struct ServeConfig {
     /// quarantine drops it for the run). Zero keeps the original
     /// behavior: quarantine drops the tenant immediately.
     pub quarantine_penalty: u64,
-    /// Utility-aware pressure eviction: victims are chosen by bytes
-    /// per recent cached instruction (cold bulk goes first) instead of
-    /// raw byte footprint, both per-tenant in a shard and per-entry in
-    /// the shared store. Off preserves the legacy largest-first waves
-    /// byte for byte.
-    pub utility_evict: bool,
 }
 
 impl Default for ServeConfig {
@@ -229,7 +222,6 @@ impl Default for ServeConfig {
             reconnect_cold: false,
             share: false,
             quarantine_penalty: 0,
-            utility_evict: false,
         }
     }
 }
@@ -332,22 +324,6 @@ fn engine_at(policy: &PolicyConfig, checkpoint: Option<&Checkpoint>) -> Option<P
     }
 }
 
-/// Whether resident `a` outranks the current victim `v` — both
-/// `(tenant, bytes, recent heat)` — for shedding in a pressure wave:
-/// more bytes, or under `utility` more bytes per recent cached
-/// instruction (cold bulk sheds before hot working sets; ties go to
-/// the larger footprint). The utility comparison cross-multiplies in
-/// u128 so no float ever enters an eviction decision.
-fn outranks(utility: bool, a: (u16, u64, u64), v: (u16, u64, u64)) -> bool {
-    let ((_, b, r), (_, vb, vr)) = (a, v);
-    if !utility {
-        return b > vb;
-    }
-    let ua = b as u128 * (u128::from(vr) + 1);
-    let uv = vb as u128 * (u128::from(r) + 1);
-    ua > uv || (ua == uv && b > vb)
-}
-
 /// Everything the scheduler tracks for one tenant, across all of its
 /// sessions.
 struct Tenant<'p> {
@@ -383,7 +359,6 @@ struct Tenant<'p> {
     first_exploit_round: Option<u64>,
     quarantined: bool,
     quarantine_retries: u64,
-    utility_evictions: u64,
     dips: DipTracker,
     // Cross-session counters: epoch deltas accumulate every round (so
     // crash-recovery re-execution counts as the work it is), and each
@@ -465,7 +440,6 @@ impl<'p> Tenant<'p> {
             first_exploit_round: None,
             quarantined: false,
             quarantine_retries: 0,
-            utility_evictions: 0,
             dips: DipTracker::default(),
             epochs: 0,
             total_insts: 0,
@@ -793,15 +767,14 @@ impl<'a> Scheduler<'a> {
     /// barrier to quarantine; nothing unwinds past here, on any
     /// worker. Outcomes come back in `active` order.
     fn run_epochs(&self, jobs: usize) -> Vec<Outcome> {
-        let utility = self.config.utility_evict;
         let run_one = |t: usize| -> Outcome {
             let ran = catch_unwind(AssertUnwindSafe(|| {
                 let mut guard = self.tenants[t].session.lock().ok()?;
                 let session = guard.as_mut()?;
                 let e = session.run_epoch(self.config.epoch_len);
                 match &self.store {
-                    Some(store) => session.publish_shared(&self.map, store, utility),
-                    None => session.publish_occupancy(&self.map, utility),
+                    Some(store) => session.publish_shared(&self.map, store),
+                    None => session.publish_occupancy(&self.map),
                 }
                 Some(e)
             }));
@@ -963,7 +936,7 @@ impl<'a> Scheduler<'a> {
     /// evicting a shared entry drops it from every referencing tenant
     /// at once; otherwise [`Scheduler::relieve_shard`] plans it.
     fn relieve_pressure(&mut self) {
-        let (capacity, utility) = (self.config.shard_capacity, self.config.utility_evict);
+        let capacity = self.config.shard_capacity;
         let Some(store) = self.store.as_mut() else {
             for shard in self.map.overflowing() {
                 self.relieve_shard(shard);
@@ -975,21 +948,17 @@ impl<'a> Scheduler<'a> {
             // Group the doomed keys by holder tenant; each victim
             // tenant takes one eviction pass, in tenant order.
             let mut by_tenant: BTreeMap<u16, Vec<u64>> = BTreeMap::new();
-            for (key, entry) in &store.plan_wave(shard, capacity, utility) {
+            for (key, entry) in &store.plan_wave(shard, capacity) {
                 for &holder in &entry.holders {
                     by_tenant.entry(holder).or_default().push(*key);
                 }
             }
             for (t, keys) in by_tenant {
-                let tenant = &mut self.tenants[t as usize];
-                let (evicted, left, left_recent) = slot(&mut tenant.session)
+                let (evicted, left) = slot(&mut self.tenants[t as usize].session)
                     .as_mut()
-                    .map_or((0, 0, 0), |s| s.evict_shared(shard, &keys));
+                    .map_or((0, 0), |s| s.evict_shared(shard, &keys));
                 self.map.note_shed(shard, evicted);
-                self.map.set_load(shard, t, left, left_recent);
-                if utility {
-                    tenant.utility_evictions += evicted;
-                }
+                self.map.set_load(shard, t, left);
             }
         }
         store.check_invariants();
@@ -997,80 +966,59 @@ impl<'a> Scheduler<'a> {
     }
 
     /// The pressure planner for one overflowing unshared shard: the
-    /// top-ranked resident ([`outranks`]) sheds the first half of its
-    /// remaining regions there — in selection order, or most evictable
-    /// first under utility eviction — repeatedly, until the shard
-    /// fits. The whole victim set is planned before anything is
-    /// evicted, then applied with one eviction pass per victim tenant:
-    /// the repeated cache rebuilds of per-batch eviction were
+    /// resident with the most bytes in the shard (lowest tenant id on
+    /// ties) sheds the first half of its remaining regions there, in
+    /// selection order, repeatedly, until the shard fits. The whole victim set is planned before anything
+    /// is evicted, then applied with one eviction pass per victim
+    /// tenant: the repeated cache rebuilds of per-batch eviction were
     /// quadratic in the region count.
     fn relieve_shard(&mut self, shard: usize) {
-        let utility = self.config.utility_evict;
         self.map.note_wave(shard);
-        // The shard's residents `(tenant, bytes, recent heat)`,
-        // ascending tenant order.
+        // The shard's residents `(tenant, bytes)`, ascending tenant
+        // order.
         let mut load = self.map.shard_load(shard);
         // Per-victim surviving regions (fetched lazily; only victims
         // pay the scan) and planned evictions.
-        let mut remaining: BTreeMap<u16, VecDeque<(RegionId, u64, u64)>> = BTreeMap::new();
+        let mut remaining: BTreeMap<u16, VecDeque<(RegionId, u64)>> = BTreeMap::new();
         let mut doomed: BTreeMap<u16, Vec<RegionId>> = BTreeMap::new();
         while load.iter().map(|l| l.1).sum::<u64>() > self.map.capacity() {
             // Ties go to the lowest tenant id (the vec is ascending).
-            let victim = (0..load.len()).fold(0, |v, i| {
-                if outranks(utility, load[i], load[v]) {
-                    i
-                } else {
-                    v
-                }
-            });
-            let (tv, bytes, _) = load[victim];
+            let victim = (0..load.len()).fold(0, |v, i| if load[i].1 > load[v].1 { i } else { v });
+            let (tv, bytes) = load[victim];
             if bytes == 0 {
                 break; // nothing shedable is left in this shard
             }
             let regs = remaining.entry(tv).or_insert_with(|| {
-                let mut regs = slot(&mut self.tenants[tv as usize].session)
+                slot(&mut self.tenants[tv as usize].session)
                     .as_ref()
-                    .map(|s| s.shard_regions_with_heat(shard))
-                    .unwrap_or_default();
-                if utility {
-                    // Most evictable first: highest bytes per recent
-                    // instruction; ties go to the lower region id.
-                    regs.sort_unstable_by(|a, b| {
-                        let ua = a.1 as u128 * (u128::from(b.2) + 1);
-                        let ub = b.1 as u128 * (u128::from(a.2) + 1);
-                        ub.cmp(&ua).then(a.0.cmp(&b.0))
-                    });
-                }
-                regs.into()
+                    .map(|s| s.shard_regions(shard))
+                    .unwrap_or_default()
+                    .into()
             });
             let plan = doomed.entry(tv).or_default();
             if regs.is_empty() {
                 // The map says the tenant holds bytes here but no live
                 // region backs them; zero the entry so the wave cannot
                 // spin on it.
-                load[victim] = (tv, 0, 0);
+                load[victim] = (tv, 0);
                 self.map.note_shed(shard, 0);
                 break;
             }
             let count = regs.len().div_ceil(2);
             plan.extend(regs.drain(..count).map(|r| r.0));
             self.map.note_shed(shard, count as u64);
-            if utility {
-                self.tenants[tv as usize].utility_evictions += count as u64;
-            }
             load[victim].1 = regs.iter().map(|r| r.1).sum();
-            load[victim].2 = regs.iter().map(|r| r.2).sum();
         }
         // Apply the plan, one eviction pass per victim tenant, and
         // publish what each victim has left.
-        for (t, bytes, recent) in load {
+        for (t, bytes) in load {
             let Some(ids) = doomed.get(&t) else { continue };
             if !ids.is_empty() {
                 if let Some(session) = slot(&mut self.tenants[t as usize].session).as_mut() {
                     session.evict_planned(shard, ids, bytes);
                 }
             }
-            self.map.set_load(shard, t, bytes, recent);
+            self.map.set_load(shard, t, bytes);
         }
     }
 
@@ -1160,7 +1108,6 @@ impl<'a> Scheduler<'a> {
                 insts_selected: tenant.insts_selected,
                 regions_selected: tenant.regions_selected,
                 pressure_evicted: tenant.pressure_evicted,
-                utility_evictions: tenant.utility_evictions,
                 policy_features: tenant.features,
                 smc_events: tenant.smc_events,
                 smc_invalidated: tenant.smc_invalidated,
@@ -1900,58 +1847,38 @@ mod tests {
     }
 
     #[test]
-    fn utility_eviction_fires_under_pressure_and_stays_deterministic() {
+    fn pressure_eviction_fires_and_stays_deterministic() {
         let specs: Vec<TenantSpec> = suite()
             .iter()
             .take(8)
             .map(|w| TenantSpec::record(w, 7, Scale::Test))
             .collect();
-        let legacy = serve(&specs, &pressured_config(), 1).unwrap();
-        assert!(
-            legacy.report.shed_actions() > 0,
-            "the squeeze must actually squeeze"
-        );
-        assert!(
-            legacy
-                .report
-                .tenants
-                .iter()
-                .all(|t| t.utility_evictions == 0),
-            "knob off, counter silent"
-        );
-        let config = ServeConfig {
-            utility_evict: true,
-            ..pressured_config()
-        };
-        let one = serve(&specs, &config, 1).unwrap();
-        let eight = serve(&specs, &config, 8).unwrap();
-        assert_eq!(one.report, eight.report, "utility eviction is 1-vs-8 safe");
+        let one = serve(&specs, &pressured_config(), 1).unwrap();
+        let eight = serve(&specs, &pressured_config(), 8).unwrap();
+        assert_eq!(one.report, eight.report, "pressure eviction is 1-vs-8 safe");
         assert_eq!(one.run_reports, eight.run_reports);
         assert_eq!(one.snapshot, eight.snapshot);
-        let chosen: u64 = one.report.tenants.iter().map(|t| t.utility_evictions).sum();
-        let evicted: u64 = one.report.tenants.iter().map(|t| t.pressure_evicted).sum();
-        assert!(chosen > 0, "pressure fired but nothing was utility-chosen");
-        assert_eq!(
-            chosen, evicted,
-            "with the knob on, every pressure victim goes through utility scoring"
+        assert!(
+            one.report.shed_actions() > 0,
+            "the squeeze must actually squeeze"
         );
+        let evicted: u64 = one.report.tenants.iter().map(|t| t.pressure_evicted).sum();
+        assert!(evicted > 0, "pressure fired but evicted nothing");
     }
 
     #[test]
-    fn utility_eviction_composes_with_the_shared_store() {
+    fn pressure_eviction_composes_with_the_shared_store() {
         let specs = TenantSpec::replicate(two_specs(), 3);
         let config = ServeConfig {
             share: true,
-            utility_evict: true,
             ..pressured_config()
         };
         let one = serve(&specs, &config, 1).unwrap();
         let eight = serve(&specs, &config, 8).unwrap();
         assert_eq!(one.report, eight.report);
+        assert_eq!(one.run_reports, eight.run_reports);
         assert_eq!(one.snapshot, eight.snapshot);
         assert!(one.report.shed_actions() > 0, "shared shards overflowed");
-        let chosen: u64 = one.report.tenants.iter().map(|t| t.utility_evictions).sum();
-        assert!(chosen > 0, "shared waves count their utility victims");
     }
 
     #[test]
@@ -2006,7 +1933,6 @@ mod tests {
                 candidates: rsel_core::select::SelectorKind::extended().to_vec(),
                 ..PolicyConfig::default()
             },
-            utility_evict: true,
             ..pressured_config()
         };
         let one = serve(&specs, &config, 1).unwrap();

@@ -85,6 +85,16 @@ impl TenantSpec {
         &self.program
     }
 
+    /// The recorded execution stream (owned by the decoded form).
+    pub fn stream(&self) -> &CompactStream {
+        self.decoded.compact()
+    }
+
+    /// The decode-once struct-of-arrays form of the recording.
+    pub fn decoded(&self) -> &DecodedStream {
+        &self.decoded
+    }
+
     /// Recorded steps in the stream.
     pub fn len(&self) -> usize {
         self.decoded.len()
@@ -165,15 +175,6 @@ pub struct TenantSession<'p> {
     stub_bytes: u64,
     /// Occupancy last published to the shared map, per shard.
     published: Vec<u64>,
-    /// Recent-heat totals last published to the shared map, per shard.
-    published_recent: Vec<u64>,
-    /// Per live region: the simulator's monotone executed-instruction
-    /// total at the last epoch boundary, and the decayed recent-heat
-    /// figure derived from it (`heat = heat/2 + delta` per epoch).
-    region_heat: BTreeMap<RegionId, (u64, u64)>,
-    /// Cache flush count at the last heat sweep; a change means the
-    /// region-id sequence (and the per-id counters) restarted.
-    heat_gen: u64,
     /// Share mode: content refs this session holds in the region
     /// store, per live region id. Region ids are stable until a full
     /// cache flush (tracked by `share_gen`), so only regions that
@@ -221,9 +222,6 @@ impl<'p> TenantSession<'p> {
             shard_count,
             stub_bytes: config.stub_bytes,
             published: vec![0; shard_count],
-            published_recent: vec![0; shard_count],
-            region_heat: BTreeMap::new(),
-            heat_gen: 0,
             shared: BTreeMap::new(),
             share_gen: 0,
             smc_by_shard: vec![0; shard_count],
@@ -389,45 +387,7 @@ impl<'p> TenantSession<'p> {
         self.prev_regions_selected = self.sim.regions_selected();
         self.prev_smc_events = self.sim.resilience().smc_events;
         self.prev_smc_invalidated = self.sim.resilience().invalidated_regions;
-        self.sweep_heat();
         stats
-    }
-
-    /// Decays and refreshes per-region heat from the simulator's
-    /// monotone per-region executed-instruction counters. A full flush
-    /// restarts the region-id sequence (and the per-id counters), so
-    /// the map resets with it; regions evicted without a flush simply
-    /// drop out of the sweep.
-    fn sweep_heat(&mut self) {
-        let flushes = self.sim.cache().flushes();
-        if flushes != self.heat_gen {
-            self.region_heat.clear();
-            self.heat_gen = flushes;
-        }
-        let mut next = BTreeMap::new();
-        for r in self.sim.cache().regions() {
-            let id = r.id();
-            let total = self.sim.region_insts_executed(id);
-            let (prev, heat) = self.region_heat.get(&id).copied().unwrap_or((0, 0));
-            next.insert(id, (total, heat / 2 + (total - prev)));
-        }
-        self.region_heat = next;
-    }
-
-    /// The decayed recent heat of live region `id` (zero for regions
-    /// never swept, i.e. selected after the last epoch boundary).
-    fn region_recent(&self, id: RegionId) -> u64 {
-        self.region_heat.get(&id).map_or(0, |&(_, h)| h)
-    }
-
-    /// Per-shard sums of region heat, shard-of-entry keyed like
-    /// [`TenantSession::occupancy`].
-    fn shard_heats(&self) -> Vec<u64> {
-        let mut heat = vec![0u64; self.shard_count];
-        for r in self.sim.cache().regions() {
-            heat[shard_of(self.tenant, r.entry(), self.shard_count)] += self.region_recent(r.id());
-        }
-        heat
     }
 
     /// This tenant's estimated bytes currently cached in `shard`.
@@ -452,24 +412,22 @@ impl<'p> TenantSession<'p> {
     }
 
     /// Publishes this tenant's occupancy to the shared map (worker
-    /// side; only shards whose occupancy changed are written, so a
-    /// quiet epoch takes no locks). Recent-heat totals ride along with
-    /// every write, but with `utility` off a heat-only change does not
-    /// trigger one — the set of shards touched (and so the contention
-    /// statistics) stays bit-identical to the pre-utility runtime.
-    pub fn publish_occupancy(&mut self, map: &SharedCacheMap, utility: bool) {
-        let occ = self.occupancy();
-        let heat = self.shard_heats();
-        let changes: Vec<(usize, u64, u64)> = (0..self.shard_count)
-            .filter(|&s| {
-                occ[s] != self.published[s] || (utility && heat[s] != self.published_recent[s])
-            })
-            .map(|s| (s, occ[s], heat[s]))
+    /// side).
+    pub fn publish_occupancy(&mut self, map: &SharedCacheMap) {
+        self.publish_changed(map, self.occupancy());
+    }
+
+    /// Writes `occ` to the shared map for the shards whose occupancy
+    /// changed since the last publish, so a quiet epoch takes no
+    /// locks.
+    fn publish_changed(&mut self, map: &SharedCacheMap, occ: Vec<u64>) {
+        let changes: Vec<(usize, u64)> = (0..self.shard_count)
+            .filter(|&s| occ[s] != self.published[s])
+            .map(|s| (s, occ[s]))
             .collect();
         if !changes.is_empty() {
             map.publish(self.tenant, &changes);
             self.published = occ;
-            self.published_recent = heat;
         }
     }
 
@@ -489,7 +447,7 @@ impl<'p> TenantSession<'p> {
     ///
     /// All store updates are commutative refcount operations, so
     /// worker scheduling cannot leak into the round's final state.
-    pub fn publish_shared(&mut self, map: &SharedCacheMap, store: &RegionStore, utility: bool) {
+    pub fn publish_shared(&mut self, map: &SharedCacheMap, store: &RegionStore) {
         let flushes = self.sim.cache().flushes();
         if flushes != self.share_gen {
             for (_, r) in std::mem::take(&mut self.shared) {
@@ -523,40 +481,19 @@ impl<'p> TenantSession<'p> {
                 .insert(region.id(), SharedRef { key, shard, bytes });
         }
         let mut occ = vec![0u64; self.shard_count];
-        let mut heat = vec![0u64; self.shard_count];
-        for (id, r) in &self.shared {
+        for r in self.shared.values() {
             occ[r.shard] += r.bytes;
-            heat[r.shard] += self.region_recent(*id);
         }
-        if utility {
-            // Per-entry heat goes to the store so a shared entry's
-            // eviction utility can sum every holder's recent use. Each
-            // tenant writes only its own slot — commutative, so worker
-            // scheduling cannot leak into the round's final state.
-            for (id, r) in &self.shared {
-                store.publish_heat(r.shard, r.key, self.tenant, self.region_recent(*id));
-            }
-        }
-        let changes: Vec<(usize, u64, u64)> = (0..self.shard_count)
-            .filter(|&s| {
-                occ[s] != self.published[s] || (utility && heat[s] != self.published_recent[s])
-            })
-            .map(|s| (s, occ[s], heat[s]))
-            .collect();
-        if !changes.is_empty() {
-            map.publish(self.tenant, &changes);
-            self.published = occ;
-            self.published_recent = heat;
-        }
+        self.publish_changed(map, occ);
     }
 
     /// Barrier-side share-mode pressure response: drops this
     /// session's regions whose content keys are in `doomed` (all
     /// belonging to store shard `shard` — the store already removed
     /// the entries), returning `(regions evicted, logical bytes left
-    /// in the shard, recent heat left in the shard)`. The caller
-    /// republishes the new totals to the capacity map.
-    pub fn evict_shared(&mut self, shard: usize, doomed: &[u64]) -> (u64, u64, u64) {
+    /// in the shard)`. The caller republishes the new total to the
+    /// capacity map.
+    pub fn evict_shared(&mut self, shard: usize, doomed: &[u64]) -> (u64, u64) {
         let dead: Vec<RegionId> = self
             .shared
             .iter()
@@ -567,16 +504,14 @@ impl<'p> TenantSession<'p> {
             self.shared.remove(id);
         }
         let evicted = self.sim.evict_regions(&dead) as u64;
-        let (mut left, mut left_recent) = (0u64, 0u64);
-        for (id, r) in &self.shared {
-            if r.shard == shard {
-                left += r.bytes;
-                left_recent += self.region_recent(*id);
-            }
-        }
+        let left = self
+            .shared
+            .values()
+            .filter(|r| r.shard == shard)
+            .map(|r| r.bytes)
+            .sum();
         self.published[shard] = left;
-        self.published_recent[shard] = left_recent;
-        (evicted, left, left_recent)
+        (evicted, left)
     }
 
     /// Share mode: the content refs this session believes it holds —
@@ -590,23 +525,17 @@ impl<'p> TenantSession<'p> {
     }
 
     /// Barrier-side pressure planning: this tenant's live regions in
-    /// `shard` as `(id, size estimate, decayed recent cached
-    /// instructions)`, in selection order. The scheduler plans a
-    /// shard's whole victim set against these lists and then applies
-    /// it with one [`TenantSession::evict_planned`] call per tenant.
-    pub fn shard_regions_with_heat(&self, shard: usize) -> Vec<(RegionId, u64, u64)> {
+    /// `shard` as `(id, size estimate)`, in selection order. The
+    /// scheduler plans a shard's whole victim set against these lists
+    /// and then applies it with one [`TenantSession::evict_planned`]
+    /// call per tenant.
+    pub fn shard_regions(&self, shard: usize) -> Vec<(RegionId, u64)> {
         self.sim
             .cache()
             .regions()
             .iter()
             .filter(|r| shard_of(self.tenant, r.entry(), self.shard_count) == shard)
-            .map(|r| {
-                (
-                    r.id(),
-                    r.size_estimate(self.stub_bytes),
-                    self.region_recent(r.id()),
-                )
-            })
+            .map(|r| (r.id(), r.size_estimate(self.stub_bytes)))
             .collect()
     }
 
@@ -618,7 +547,6 @@ impl<'p> TenantSession<'p> {
         let evicted = self.sim.evict_regions(ids) as u64;
         debug_assert_eq!(left, self.shard_occupancy(shard), "planned bytes drifted");
         self.published[shard] = left;
-        self.published_recent[shard] = self.shard_heats()[shard];
         evicted
     }
 
@@ -727,7 +655,7 @@ mod tests {
             SelectorKind::Lei.make(spec.program(), &cfg),
             &cfg,
         );
-        mono.run(spec.decoded.compact().replay(spec.program()));
+        mono.run(spec.stream().replay(spec.program()));
         assert_eq!(epoch.report(), mono.report(), "epoching is invisible");
     }
 
@@ -739,7 +667,7 @@ mod tests {
         let mut s = TenantSession::new(0, &spec, SelectorKind::Net, &cfg, 8);
         while !s.finished() {
             s.run_epoch(2000);
-            s.publish_occupancy(&map, false);
+            s.publish_occupancy(&map);
         }
         let total: u64 = s.occupancy().iter().sum();
         assert_eq!(total, s.sim.cache().size_estimate(cfg.stub_bytes));
@@ -748,11 +676,11 @@ mod tests {
         // eviction, the way the scheduler's barrier does.
         let heavy = (0..8).max_by_key(|&i| s.occupancy()[i]).unwrap();
         let before = s.occupancy()[heavy];
-        let regs = s.shard_regions_with_heat(heavy);
-        assert_eq!(regs.iter().map(|&(_, b, _)| b).sum::<u64>(), before);
+        let regs = s.shard_regions(heavy);
+        assert_eq!(regs.iter().map(|&(_, b)| b).sum::<u64>(), before);
         let count = regs.len().div_ceil(2);
-        let doomed: Vec<RegionId> = regs[..count].iter().map(|&(id, _, _)| id).collect();
-        let left: u64 = regs[count..].iter().map(|&(_, b, _)| b).sum();
+        let doomed: Vec<RegionId> = regs[..count].iter().map(|&(id, _)| id).collect();
+        let left: u64 = regs[count..].iter().map(|&(_, b)| b).sum();
         let evicted = s.evict_planned(heavy, &doomed, left);
         assert_eq!(evicted, count as u64);
         assert!(left < before);

@@ -42,10 +42,6 @@ pub fn shard_of(tenant: u16, entry: Addr, shard_count: usize) -> usize {
 struct Slot {
     /// Estimated bytes per tenant; zero-byte tenants are absent.
     bytes: BTreeMap<u16, u64>,
-    /// Decayed recent cache heat per tenant — the utility-aware
-    /// eviction planner's denominator. Kept in lockstep with `bytes`
-    /// (a tenant dropping to zero bytes leaves both maps).
-    recent: BTreeMap<u16, u64>,
     /// Tenants that published an update this round. Distinct count
     /// ≥ 2 means the shard's lock was shared by concurrent sessions
     /// this round — the contention metric. Small per round, so a
@@ -58,13 +54,11 @@ impl Slot {
         self.bytes.values().sum()
     }
 
-    fn set(&mut self, tenant: u16, bytes: u64, recent: u64) {
+    fn set(&mut self, tenant: u16, bytes: u64) {
         if bytes == 0 {
             self.bytes.remove(&tenant);
-            self.recent.remove(&tenant);
         } else {
             self.bytes.insert(tenant, bytes);
-            self.recent.insert(tenant, recent);
         }
     }
 }
@@ -129,15 +123,14 @@ impl SharedCacheMap {
     }
 
     /// Publishes one tenant's new occupancy for the changed shards
-    /// (worker-side, per-shard locking). `changes` triples a shard
-    /// index with the tenant's new byte total and recent-heat total in
-    /// that shard.
-    pub fn publish(&self, tenant: u16, changes: &[(usize, u64, u64)]) {
-        for &(shard, bytes, recent) in changes {
+    /// (worker-side, per-shard locking). `changes` pairs a shard index
+    /// with the tenant's new byte total in that shard.
+    pub fn publish(&self, tenant: u16, changes: &[(usize, u64)]) {
+        for &(shard, bytes) in changes {
             let mut slot = self.slots[shard]
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            slot.set(tenant, bytes, recent);
+            slot.set(tenant, bytes);
             if !slot.touched.contains(&tenant) {
                 slot.touched.push(tenant);
             }
@@ -171,27 +164,23 @@ impl SharedCacheMap {
             .collect()
     }
 
-    /// Barrier: the resident tenants of `shard` with their bytes and
-    /// recent heat, in ascending tenant order — the pressure planner's
-    /// view. Zero-byte tenants are absent; a tenant that never
-    /// published heat reads as zero.
-    pub fn shard_load(&mut self, shard: usize) -> Vec<(u16, u64, u64)> {
+    /// Barrier: the resident tenants of `shard` with their bytes, in
+    /// ascending tenant order — the pressure planner's view. Zero-byte
+    /// tenants are absent.
+    pub fn shard_load(&mut self, shard: usize) -> Vec<(u16, u64)> {
         let slot = self.slots[shard]
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
-        slot.bytes
-            .iter()
-            .map(|(&t, &b)| (t, b, slot.recent.get(&t).copied().unwrap_or(0)))
-            .collect()
+        slot.bytes.iter().map(|(&t, &b)| (t, b)).collect()
     }
 
-    /// Barrier: overwrites one tenant's byte and recent-heat totals in
-    /// `shard` (zero bytes removes the tenant from the slot).
-    pub fn set_load(&mut self, shard: usize, tenant: u16, bytes: u64, recent: u64) {
+    /// Barrier: overwrites one tenant's byte total in `shard` (zero
+    /// bytes removes the tenant from the slot).
+    pub fn set_load(&mut self, shard: usize, tenant: u16, bytes: u64) {
         self.slots[shard]
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
-            .set(tenant, bytes, recent);
+            .set(tenant, bytes);
     }
 
     /// Barrier: records that `shard` was over capacity at this round's
@@ -216,7 +205,6 @@ impl SharedCacheMap {
         for slot in &mut self.slots {
             let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
             reclaimed += slot.bytes.remove(&tenant).unwrap_or(0);
-            slot.recent.remove(&tenant);
         }
         reclaimed
     }
@@ -261,16 +249,16 @@ mod tests {
     #[test]
     fn publish_and_pressure_accounting() {
         let mut map = SharedCacheMap::new(4, 100);
-        map.publish(0, &[(1, 60, 600)]);
-        map.publish(1, &[(1, 70, 70)]);
-        map.publish(2, &[(2, 10, 0)]);
+        map.publish(0, &[(1, 60)]);
+        map.publish(1, &[(1, 70)]);
+        map.publish(2, &[(2, 10)]);
         map.end_round();
         assert_eq!(map.overflowing(), vec![1]);
-        assert_eq!(map.shard_load(1), vec![(0, 60, 600), (1, 70, 70)]);
+        assert_eq!(map.shard_load(1), vec![(0, 60), (1, 70)]);
         // Shard 1 saw two tenants this round; shard 2 only one.
         let stats = {
-            map.set_load(1, 1, 0, 0);
-            assert_eq!(map.shard_load(1), vec![(0, 60, 600)], "zero bytes drop out");
+            map.set_load(1, 1, 0);
+            assert_eq!(map.shard_load(1), vec![(0, 60)], "zero bytes drop out");
             assert_eq!(map.overflowing(), Vec::<usize>::new());
             // One wave over the shard, resolved by two shed actions.
             map.note_wave(1);
@@ -292,11 +280,11 @@ mod tests {
     #[test]
     fn clear_tenant_reclaims_everything() {
         let mut map = SharedCacheMap::new(2, 1000);
-        map.publish(0, &[(0, 30, 3), (1, 40, 4)]);
+        map.publish(0, &[(0, 30), (1, 40)]);
         assert_eq!(map.total_bytes(), 70);
         assert_eq!(map.clear_tenant(0), 70);
         assert_eq!(map.total_bytes(), 0);
-        assert_eq!(map.shard_load(0), vec![], "heat leaves with the tenant");
+        assert_eq!(map.shard_load(0), vec![]);
     }
 
     #[test]
@@ -304,23 +292,10 @@ mod tests {
         // Tenant ids far beyond any dense-vec sizing work immediately,
         // and only resident tenants occupy slot memory.
         let mut map = SharedCacheMap::new(2, 1000);
-        map.publish(u16::MAX, &[(0, 5, 0)]);
-        map.publish(9_999, &[(0, 7, 0)]);
-        assert_eq!(map.shard_load(0), vec![(9_999, 7, 0), (u16::MAX, 5, 0)]);
+        map.publish(u16::MAX, &[(0, 5)]);
+        map.publish(9_999, &[(0, 7)]);
+        assert_eq!(map.shard_load(0), vec![(9_999, 7), (u16::MAX, 5)]);
         assert_eq!(map.clear_tenant(u16::MAX), 5);
-        assert_eq!(map.shard_load(0), vec![(9_999, 7, 0)]);
-    }
-
-    #[test]
-    fn set_load_keeps_heat_in_lockstep() {
-        let mut map = SharedCacheMap::new(1, 1000);
-        map.set_load(0, 4, 100, 50);
-        assert_eq!(map.shard_load(0), vec![(4, 100, 50)]);
-        map.set_load(0, 4, 80, 20);
-        assert_eq!(map.shard_load(0), vec![(4, 80, 20)]);
-        // Zero bytes drops the tenant's heat along with its bytes.
-        map.set_load(0, 4, 0, 999);
-        assert_eq!(map.shard_load(0), vec![]);
-        assert_eq!(map.total_bytes(), 0);
+        assert_eq!(map.shard_load(0), vec![(9_999, 7)]);
     }
 }

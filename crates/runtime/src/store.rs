@@ -117,19 +117,6 @@ pub struct StoreEntry {
     pub bytes: u64,
     /// Tenants holding a ref, ascending.
     pub holders: Vec<u16>,
-    /// Each holder's last-published recent heat (decayed cached
-    /// instructions from its copy of the region), in lockstep with
-    /// `holders`. The utility-aware wave planner sums these so an
-    /// entry hot in fifty tenants outranks a cold private one.
-    pub recent: Vec<u64>,
-}
-
-impl StoreEntry {
-    /// Total recent heat across every holder — the shared entry's
-    /// utility denominator.
-    pub fn total_recent(&self) -> u64 {
-        self.recent.iter().sum()
-    }
 }
 
 /// One shard's entries plus its incrementally-maintained unique-byte
@@ -234,7 +221,6 @@ impl RegionStore {
         let entry = s.entries.entry(key).or_insert_with(|| StoreEntry {
             bytes: 0,
             holders: Vec::new(),
-            recent: Vec::new(),
         });
         if entry.holders.is_empty() {
             entry.bytes = bytes;
@@ -249,10 +235,7 @@ impl RegionStore {
             // address, and the entry address is part of the content —
             // a double acquire means the session's bookkeeping drifted.
             Ok(_) => debug_assert!(false, "tenant {tenant} double-acquired key {key:#x}"),
-            Err(i) => {
-                entry.holders.insert(i, tenant);
-                entry.recent.insert(i, 0);
-            }
+            Err(i) => entry.holders.insert(i, tenant),
         }
         if entry.holders.len() == 1 {
             s.unique += entry.bytes;
@@ -272,27 +255,10 @@ impl RegionStore {
         };
         if let Ok(i) = entry.holders.binary_search(&tenant) {
             entry.holders.remove(i);
-            entry.recent.remove(i);
             if entry.holders.is_empty() {
                 let bytes = entry.bytes;
                 s.entries.remove(&key);
                 s.unique -= bytes;
-            }
-        }
-    }
-
-    /// Worker side: `tenant` publishes the recent heat of its copy of
-    /// content `key` in `shard`. Each tenant writes only its own slot
-    /// of the entry's heat vector, so concurrent publishes commute;
-    /// a key the store no longer holds (or a ref the barrier already
-    /// dropped) is a no-op.
-    pub fn publish_heat(&self, shard: usize, key: u64, tenant: u16, heat: u64) {
-        let mut s = self.shards[shard]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(entry) = s.entries.get_mut(&key) {
-            if let Ok(i) = entry.holders.binary_search(&tenant) {
-                entry.recent[i] = heat;
             }
         }
     }
@@ -309,7 +275,6 @@ impl RegionStore {
             for (&key, entry) in s.entries.iter_mut() {
                 if let Ok(i) = entry.holders.binary_search(&tenant) {
                     entry.holders.remove(i);
-                    entry.recent.remove(i);
                     released += 1;
                     if entry.holders.is_empty() {
                         dead.push((key, entry.bytes));
@@ -363,41 +328,16 @@ impl RegionStore {
     /// victim entries are removed from the store until the shard's
     /// unique bytes fit `capacity`, and returned with their holder
     /// lists so the scheduler can drop every referencing tenant's
-    /// region — a pure function of the shard's content either way.
-    ///
-    /// With `utility` off, victims are chosen largest-unique-bytes
-    /// first (key ascending on ties) — the legacy policy. With it on,
-    /// the order is worst utility first: highest `bytes / (V + 1)`
-    /// where `V` sums every holder's published recent heat, compared
-    /// by pure-integer cross-multiplication (no float ties), so a
-    /// region hot in fifty tenants is not doomed before a cold
-    /// private one. Ties break bytes descending, then key ascending.
-    pub fn plan_wave(
-        &mut self,
-        shard: usize,
-        capacity: u64,
-        utility: bool,
-    ) -> Vec<(u64, StoreEntry)> {
+    /// region — a pure function of the shard's content. Victims go
+    /// largest unique bytes first, key ascending on ties.
+    pub fn plan_wave(&mut self, shard: usize, capacity: u64) -> Vec<(u64, StoreEntry)> {
         let s = self.shards[shard]
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
-        // (bytes, total recent heat, key) per entry.
-        let mut order: Vec<(u64, u64, u64)> = s
-            .entries
-            .iter()
-            .map(|(&k, e)| (e.bytes, e.total_recent(), k))
-            .collect();
-        if utility {
-            order.sort_unstable_by(|a, b| {
-                let ua = a.0 as u128 * (b.1 as u128 + 1);
-                let ub = b.0 as u128 * (a.1 as u128 + 1);
-                ub.cmp(&ua).then(b.0.cmp(&a.0)).then(a.2.cmp(&b.2))
-            });
-        } else {
-            order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.2.cmp(&b.2)));
-        }
+        let mut order: Vec<(u64, u64)> = s.entries.iter().map(|(&k, e)| (e.bytes, k)).collect();
+        order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut doomed = Vec::new();
-        for (bytes, _, key) in order {
+        for (bytes, key) in order {
             if s.unique <= capacity {
                 break;
             }
@@ -471,12 +411,6 @@ impl RegionStore {
                     .all(|e| e.holders.windows(2).all(|w| w[0] < w[1])),
                 "holder list unsorted or duplicated"
             );
-            debug_assert!(
-                s.entries
-                    .values()
-                    .all(|e| e.recent.len() == e.holders.len()),
-                "heat vector fell out of lockstep with the holders"
-            );
         }
     }
 
@@ -499,7 +433,7 @@ pub fn debug_check_consistency(store: &mut RegionStore, map: &mut SharedCacheMap
     if cfg!(debug_assertions) {
         for shard in 0..store.shard_count() {
             let store_logical = store.logical_bytes(shard);
-            let map_logical: u64 = map.shard_load(shard).iter().map(|&(_, b, _)| b).sum();
+            let map_logical: u64 = map.shard_load(shard).iter().map(|&(_, b)| b).sum();
             debug_assert_eq!(
                 store_logical, map_logical,
                 "share-mode ledgers disagree on shard {shard}"
@@ -555,7 +489,7 @@ mod tests {
         store.acquire(0, 11, 30, 1);
         store.acquire(0, 12, 30, 1);
         assert_eq!(store.unique_bytes(0), 110);
-        let doomed = store.plan_wave(0, 40, false);
+        let doomed = store.plan_wave(0, 40);
         // 50 goes first, then the tied 30s in key order; 30 remains.
         assert_eq!(doomed.len(), 2);
         assert_eq!(doomed[0].0, 10);
@@ -564,57 +498,6 @@ mod tests {
         assert_eq!(doomed[1].1.holders, vec![0, 1], "shared entry drops all");
         assert_eq!(store.unique_bytes(0), 30);
         store.check_invariants();
-    }
-
-    #[test]
-    fn utility_wave_spares_hot_and_widely_held_entries() {
-        let mut store = RegionStore::new(1);
-        // A large but hot private entry...
-        store.acquire(0, 10, 50, 0);
-        store.publish_heat(0, 10, 0, 1000);
-        // ...a small entry shared by two tenants with modest heat...
-        store.acquire(0, 11, 30, 0);
-        store.acquire(0, 11, 30, 1);
-        store.publish_heat(0, 11, 0, 40);
-        store.publish_heat(0, 11, 1, 40);
-        // ...and a stone-cold private entry.
-        store.acquire(0, 12, 30, 1);
-        assert_eq!(store.unique_bytes(0), 110);
-        // Max-bytes would doom key 10 first; utility dooms the cold
-        // key 12 (30 bytes / 1) ahead of the shared key 11
-        // (30 / 81) and the hot key 10 (50 / 1001).
-        let doomed = store.plan_wave(0, 60, true);
-        assert_eq!(doomed.len(), 2);
-        assert_eq!(doomed[0].0, 12, "cold private entry goes first");
-        assert_eq!(doomed[1].0, 11, "then the lukewarm shared one");
-        assert_eq!(store.unique_bytes(0), 50, "the hot entry survives");
-        store.check_invariants();
-    }
-
-    #[test]
-    fn publish_heat_tracks_holders_and_tolerates_dead_keys() {
-        let mut store = RegionStore::new(1);
-        store.acquire(0, 7, 10, 2);
-        store.acquire(0, 7, 10, 5);
-        store.publish_heat(0, 7, 5, 99);
-        store.publish_heat(0, 7, 2, 11);
-        store.publish_heat(0, 999, 2, 5); // unknown key: no-op
-        store.publish_heat(0, 7, 9, 5); // non-holder: no-op
-        let doomed = store.plan_wave(0, 0, true);
-        assert_eq!(doomed.len(), 1);
-        assert_eq!(doomed[0].1.holders, vec![2, 5]);
-        assert_eq!(doomed[0].1.recent, vec![11, 99], "heat rides in lockstep");
-        assert_eq!(doomed[0].1.total_recent(), 110);
-        // Releasing drops the heat slot with the holder.
-        store.acquire(0, 8, 10, 2);
-        store.acquire(0, 8, 10, 5);
-        store.publish_heat(0, 8, 2, 7);
-        store.release(0, 8, 2);
-        store.publish_heat(0, 8, 2, 3); // released ref: no-op
-        store.check_invariants();
-        let doomed = store.plan_wave(0, 0, true);
-        assert_eq!(doomed[0].1.holders, vec![5]);
-        assert_eq!(doomed[0].1.recent, vec![0]);
     }
 
     #[test]

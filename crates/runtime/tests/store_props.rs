@@ -35,37 +35,22 @@ enum Op {
     /// goes at once, without consulting any session state.
     ReleaseTenant { tenant: u16 },
     /// A pressure wave against one shard down to `capacity` unique
-    /// bytes, in either victim order (largest-first or
-    /// utility-aware) — the invariants hold for both.
-    Wave {
-        shard: usize,
-        capacity: u64,
-        utility: bool,
-    },
+    /// bytes, largest entries first.
+    Wave { shard: usize, capacity: u64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Weighting (the vendored prop_oneof has no weight syntax): a
     // selector in 0..8 biases toward acquires so sequences actually
     // build up shared state before tearing it down.
-    (
-        0u8..8,
-        0u64..24,
-        0u16..6,
-        0usize..4,
-        0u64..64,
-        any::<bool>(),
-    )
-        .prop_map(|(pick, key, tenant, shard, capacity, utility)| match pick {
+    (0u8..8, 0u64..24, 0u16..6, 0usize..4, 0u64..64).prop_map(
+        |(pick, key, tenant, shard, capacity)| match pick {
             0..=3 => Op::Acquire { key, tenant },
             4 | 5 => Op::Release { key, tenant },
             6 => Op::ReleaseTenant { tenant },
-            _ => Op::Wave {
-                shard,
-                capacity,
-                utility,
-            },
-        })
+            _ => Op::Wave { shard, capacity },
+        },
+    )
 }
 
 /// Deterministic size for a synthetic key — content-addressed entries
@@ -115,12 +100,8 @@ proptest! {
                     });
                     prop_assert_eq!(store.release_tenant(tenant), expect);
                 }
-                Op::Wave {
-                    shard,
-                    capacity,
-                    utility,
-                } => {
-                    let wave = store.plan_wave(shard, capacity, utility);
+                Op::Wave { shard, capacity } => {
+                    let wave = store.plan_wave(shard, capacity);
                     for (key, entry) in &wave {
                         let removed = model.remove(&(shard, *key));
                         prop_assert!(removed.is_some(), "wave evicted an unknown entry");
