@@ -66,10 +66,6 @@ impl<'p> AdoreSelector<'p> {
 }
 
 impl RegionSelector for AdoreSelector<'_> {
-    fn on_transfer(&mut self, _: &CodeCache, _: Addr, _: Addr, _: bool) -> Vec<Region> {
-        Vec::new()
-    }
-
     fn on_arrival(&mut self, cache: &CodeCache, a: Arrival) -> Vec<Region> {
         if !a.taken {
             return Vec::new();
@@ -111,22 +107,13 @@ impl RegionSelector for AdoreSelector<'_> {
         }
     }
 
-    fn on_block(&mut self, _: &CodeCache, _: Addr) -> Vec<Region> {
-        Vec::new()
-    }
-
     fn on_fault(&mut self, fault: super::CounterFault) {
+        self.counters.apply_fault(fault);
         match fault {
             super::CounterFault::Saturate => {
-                self.counters.saturate_all();
-                for c in self.path_counts.values_mut() {
-                    *c = u32::MAX;
-                }
+                self.path_counts.values_mut().for_each(|c| *c = u32::MAX)
             }
-            super::CounterFault::Reset => {
-                self.counters.reset_all();
-                self.path_counts.clear();
-            }
+            super::CounterFault::Reset => self.path_counts.clear(),
         }
     }
 

@@ -16,17 +16,8 @@ use rsel_program::{Addr, Program};
 
 /// The BOA selector: continuous per-branch direction profiling plus a
 /// low (15) entry threshold, with traces built from the profile rather
-/// than from the next execution.
-///
-/// Known defect (kept so that reports stay comparable; its fix moves
-/// this selector's results): an interpreted taken branch whose target
-/// is not cached is recorded twice, once by
-/// [`on_transfer`](RegionSelector::on_transfer) and again by
-/// [`on_arrival`](RegionSelector::on_arrival), while a not-taken branch
-/// is recorded once. The direction counts therefore lean towards taken:
-/// a branch taken 2 times in 5 reads as majority-taken.
-/// [`WigginsRedstoneSelector`](super::WigginsRedstoneSelector) shares
-/// the defect.
+/// than from the next execution. Its profile double-counts taken
+/// branches; see [`EdgeProfile::record_arrival`].
 #[derive(Debug)]
 pub struct BoaSelector<'p> {
     program: &'p Program,
@@ -69,12 +60,7 @@ impl RegionSelector for BoaSelector<'_> {
     }
 
     fn on_arrival(&mut self, cache: &CodeCache, a: Arrival) -> Vec<Region> {
-        if let (Some(src), true) = (a.src, a.taken) {
-            // Exit landings and fresh arrivals still profile the edge.
-            // A fresh arrival was already recorded by `on_transfer`:
-            // the double count documented on `BoaSelector`.
-            self.profile.record(self.program, src, a.tgt, true);
-        }
+        self.profile.record_arrival(self.program, a);
         let backward = a.taken && a.src.is_some_and(|s| a.tgt.is_backward_from(s));
         if !(backward || a.from_cache_exit) {
             return Vec::new();
@@ -97,15 +83,8 @@ impl RegionSelector for BoaSelector<'_> {
         vec![Region::trace(self.program, &blocks)]
     }
 
-    fn on_block(&mut self, _: &CodeCache, _: Addr) -> Vec<Region> {
-        Vec::new()
-    }
-
     fn on_fault(&mut self, fault: super::CounterFault) {
-        match fault {
-            super::CounterFault::Saturate => self.counters.saturate_all(),
-            super::CounterFault::Reset => self.counters.reset_all(),
-        }
+        self.counters.apply_fault(fault);
     }
 
     fn counters_in_use(&self) -> usize {
@@ -114,10 +93,6 @@ impl RegionSelector for BoaSelector<'_> {
 
     fn peak_counters(&self) -> usize {
         self.counters.peak()
-    }
-
-    fn distinct_targets_profiled(&self) -> usize {
-        self.counters.distinct_ever()
     }
 
     fn name(&self) -> &'static str {

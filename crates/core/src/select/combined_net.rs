@@ -134,10 +134,7 @@ impl RegionSelector for CombinedNetSelector<'_> {
     }
 
     fn on_fault(&mut self, fault: super::CounterFault) {
-        match fault {
-            super::CounterFault::Saturate => self.counters.saturate_all(),
-            super::CounterFault::Reset => self.counters.reset_all(),
-        }
+        self.counters.apply_fault(fault);
     }
 
     fn counters_in_use(&self) -> usize {

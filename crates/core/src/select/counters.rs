@@ -1,6 +1,7 @@
 //! Profiling counters with recycling and peak tracking.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
+use crate::sim::faults::CounterFault;
 use rsel_program::Addr;
 use std::collections::hash_map::Entry;
 
@@ -15,7 +16,6 @@ use std::collections::hash_map::Entry;
 pub struct CounterTable {
     counts: FxHashMap<Addr, u32>,
     peak: usize,
-    ever: FxHashSet<Addr>,
 }
 
 impl CounterTable {
@@ -32,9 +32,7 @@ impl CounterTable {
         let c = match self.counts.entry(addr) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                // Only a new counter can add a distinct address or
-                // raise the occupancy peak.
-                self.ever.insert(addr);
+                // Only a new counter can raise the occupancy peak.
                 self.peak = self.peak.max(live + 1);
                 e.insert(0)
             }
@@ -43,19 +41,15 @@ impl CounterTable {
         *c
     }
 
-    /// Forces every live counter to `u32::MAX` (a saturation fault:
-    /// every profiled target looks scorching hot at once).
-    pub fn saturate_all(&mut self) {
-        for c in self.counts.values_mut() {
-            *c = u32::MAX;
+    /// Applies a profiling-counter fault. Saturation forces every live
+    /// counter to `u32::MAX`, so every profiled target looks scorching
+    /// hot at once. A reset drops every live counter, so accumulation
+    /// starts over; the peak high-water mark survives.
+    pub fn apply_fault(&mut self, fault: CounterFault) {
+        match fault {
+            CounterFault::Saturate => self.counts.values_mut().for_each(|c| *c = u32::MAX),
+            CounterFault::Reset => self.counts.clear(),
         }
-    }
-
-    /// Drops every live counter (a corruption fault: the profiling
-    /// state is lost and accumulation starts over). The peak
-    /// high-water mark survives.
-    pub fn reset_all(&mut self) {
-        self.counts.clear();
     }
 
     /// Current value of the counter for `addr`, if present.
@@ -82,11 +76,6 @@ impl CounterTable {
     /// Iterates over the addresses currently holding counters.
     pub fn addresses(&self) -> impl Iterator<Item = Addr> + '_ {
         self.counts.keys().copied()
-    }
-
-    /// Number of distinct addresses ever profiled.
-    pub fn distinct_ever(&self) -> usize {
-        self.ever.len()
     }
 }
 
@@ -123,7 +112,7 @@ mod tests {
         let mut t = CounterTable::new();
         let a = Addr::new(9);
         t.increment(a);
-        t.saturate_all();
+        t.apply_fault(CounterFault::Saturate);
         assert_eq!(t.get(a), Some(u32::MAX));
         assert_eq!(t.increment(a), u32::MAX, "no wraparound");
     }
@@ -133,14 +122,14 @@ mod tests {
         let mut t = CounterTable::new();
         t.increment(Addr::new(1));
         t.increment(Addr::new(2));
-        t.reset_all();
+        t.apply_fault(CounterFault::Reset);
         assert_eq!(t.in_use(), 0);
         assert_eq!(t.peak(), 2);
         assert_eq!(t.increment(Addr::new(1)), 1, "profiling starts over");
     }
 
     #[test]
-    fn distinct_addresses_are_counted_once() {
+    fn peak_counts_a_recreated_counter_once() {
         let mut t = CounterTable::new();
         let a = Addr::new(7);
         t.increment(a);
@@ -148,7 +137,6 @@ mod tests {
         t.recycle(a);
         t.increment(a);
         t.increment(Addr::new(8));
-        assert_eq!(t.distinct_ever(), 2);
         assert_eq!(t.peak(), 2);
     }
 

@@ -96,13 +96,14 @@ impl HistoryBuffer {
     /// being contiguous after the first selection, because
     /// [`HistoryBuffer::truncate_after`] removes entries without
     /// rewinding the next sequence number. From then on `entry(seq)`
-    /// can return `None` or a neighbouring entry, so LEI and combined
-    /// LEI read the wrong `follows_exit` flag for Figure 5's line-9
-    /// test. A search on `seq` fixes the lookup but moves the
-    /// paper-shape LEI/NET transition ratio past its bound, so the fix
-    /// waits for its own investigation; until then this lookup is kept
-    /// as is, and `entry_is_found_after_truncation` records the
-    /// expected behaviour.
+    /// can return `None` or a neighbouring entry, so the one caller,
+    /// [`CycleDetector::arrive`](super::lei::CycleDetector::arrive),
+    /// reads the wrong `follows_exit` flag for Figure 5's line-9 test
+    /// in both LEI and combined LEI. A search on `seq` fixes the lookup
+    /// but moves the paper-shape LEI/NET transition ratio past its
+    /// bound, so the fix waits for its own investigation; until then
+    /// this lookup is kept as is, and `entry_is_found_after_truncation`
+    /// records the expected behaviour.
     pub fn entry(&self, seq: u64) -> Option<&HistoryEntry> {
         let first = self.entries.front()?.seq;
         if seq < first || seq >= self.next_seq {

@@ -158,6 +158,94 @@ fn record_fallthrough(rec: &mut TraceRecorder, inst: &Instruction) -> bool {
     }
 }
 
+/// Figure 5's cycle detection (lines 5–10 and 13), shared by LEI and
+/// combined LEI: the history buffer of interpreted taken branches and
+/// the counters of the cycle heads found in it.
+///
+/// A counter only exists while its target stays in the buffer ("it
+/// must also be in the history buffer of recently interpreted branch
+/// targets", §3.2.4), so evicting or truncating a target's last
+/// occurrence releases its counter.
+#[derive(Debug)]
+pub struct CycleDetector {
+    buf: HistoryBuffer,
+    counters: CounterTable,
+}
+
+impl CycleDetector {
+    /// Creates a detector whose buffer keeps `history_size` branches.
+    pub fn new(history_size: usize) -> Self {
+        CycleDetector {
+            buf: HistoryBuffer::new(history_size),
+            counters: CounterTable::new(),
+        }
+    }
+
+    /// Feeds one interpreter arrival through Figure 5, lines 5–10.
+    ///
+    /// Exit-stub transfers are branches in the real system even when
+    /// the exit was the fall-through side of a conditional, so every
+    /// cache-exit landing enters the buffer (tagged `follows_exit`,
+    /// feeding line 9's second condition); otherwise only interpreted
+    /// taken branches do.
+    ///
+    /// Returns the target whose counter an eviction released, if it had
+    /// one, and — when the arrival completed a cycle that passed line
+    /// 9's test — the sequence number of the target's previous
+    /// occurrence with its incremented counter.
+    pub fn arrive(&mut self, a: Arrival) -> (Option<Addr>, Option<(u64, u32)>) {
+        let Some(src) = a.src.filter(|_| a.taken || a.from_cache_exit) else {
+            return (None, None);
+        };
+        // Line 5: insert into the history buffer.
+        let (new_seq, dropped) = self.buf.insert(src, a.tgt, a.from_cache_exit);
+        let released = dropped.filter(|&gone| self.counters.recycle(gone).is_some());
+        // Line 6: does the target already appear in the buffer?
+        let Some(old_seq) = self.buf.lookup(a.tgt) else {
+            // Line 17.
+            self.buf.update_hash(a.tgt, new_seq);
+            return (released, None);
+        };
+        // The one read through `HistoryBuffer::entry`, whose known
+        // defect can return a neighbouring entry's flag.
+        let old_follows_exit = self.buf.entry(old_seq).is_some_and(|e| e.follows_exit);
+        // Line 8: point the hash at the new occurrence.
+        self.buf.update_hash(a.tgt, new_seq);
+        // Line 9: can this target begin a trace?
+        if !(a.tgt.is_backward_from(src) || old_follows_exit) {
+            return (released, None);
+        }
+        // Line 10.
+        (released, Some((old_seq, self.counters.increment(a.tgt))))
+    }
+
+    /// Ends the cycle of `tgt` whose previous occurrence is `old_seq`:
+    /// truncates the buffer after it (Figure 5, line 13) and recycles
+    /// the counters of `tgt` and of every target the truncation removed.
+    /// Returns the removed targets that held a counter.
+    pub fn complete(&mut self, tgt: Addr, old_seq: u64) -> Vec<Addr> {
+        self.counters.recycle(tgt);
+        let mut gone = self.buf.truncate_after(old_seq);
+        gone.retain(|&t| self.counters.recycle(t).is_some());
+        gone
+    }
+
+    /// The history buffer.
+    pub fn history(&self) -> &HistoryBuffer {
+        &self.buf
+    }
+
+    /// The cycle-head counters.
+    pub fn counters(&self) -> &CounterTable {
+        &self.counters
+    }
+
+    /// Applies a profiling-counter fault to the counters.
+    pub fn apply_fault(&mut self, fault: super::CounterFault) {
+        self.counters.apply_fault(fault);
+    }
+}
+
 /// The LEI selector (paper Figure 5).
 ///
 /// Maintains a bounded history buffer of interpreted taken branches.
@@ -171,9 +259,7 @@ pub struct LeiSelector<'p> {
     program: &'p Program,
     threshold: u32,
     width: AddrWidth,
-    buf: HistoryBuffer,
-    counters: CounterTable,
-    pending_exit: bool,
+    cycles: CycleDetector,
 }
 
 impl<'p> LeiSelector<'p> {
@@ -183,96 +269,44 @@ impl<'p> LeiSelector<'p> {
             program,
             threshold: config.lei_threshold,
             width: config.addr_width,
-            buf: HistoryBuffer::new(config.history_size),
-            counters: CounterTable::new(),
-            pending_exit: false,
+            cycles: CycleDetector::new(config.history_size),
         }
     }
 
     /// The history buffer (for tests and diagnostics).
     pub fn history(&self) -> &HistoryBuffer {
-        &self.buf
+        self.cycles.history()
     }
 }
 
 impl RegionSelector for LeiSelector<'_> {
-    fn on_transfer(&mut self, _: &CodeCache, _: Addr, _: Addr, _: bool) -> Vec<Region> {
-        Vec::new() // LEI has no growth phase
-    }
-
     fn on_arrival(&mut self, cache: &CodeCache, a: Arrival) -> Vec<Region> {
-        // Exit-stub transfers are branches in the real system even when
-        // the exit was the fall-through side of a conditional, so every
-        // cache-exit landing enters the buffer (tagged `follows_exit`,
-        // feeding line 9's second condition); otherwise only interpreted
-        // taken branches do.
-        if !(a.taken || a.from_cache_exit) {
-            return Vec::new();
-        }
-        let Some(src) = a.src else { return Vec::new() };
-        let follows_exit = a.from_cache_exit || std::mem::take(&mut self.pending_exit);
-        // Figure 5 line 5: insert into the history buffer. A counter
-        // only exists while its target stays in the buffer ("it must
-        // also be in the history buffer of recently interpreted branch
-        // targets", §3.2.4), so eviction releases the counter.
-        let (new_seq, dropped) = self.buf.insert(src, a.tgt, follows_exit);
-        if let Some(gone) = dropped {
-            self.counters.recycle(gone);
-        }
-        // Line 6: does the target already appear in the buffer?
-        let Some(old_seq) = self.buf.lookup(a.tgt) else {
-            // Line 17.
-            self.buf.update_hash(a.tgt, new_seq);
+        let (_, Some((old_seq, c))) = self.cycles.arrive(a) else {
             return Vec::new();
         };
-        let old_follows_exit = self
-            .buf
-            .entry(old_seq)
-            .map(|e| e.follows_exit)
-            .unwrap_or(false);
-        // Line 8: point the hash at the new occurrence.
-        self.buf.update_hash(a.tgt, new_seq);
-        // Line 9: can this target begin a trace?
-        if !(a.tgt.is_backward_from(src) || old_follows_exit) {
-            return Vec::new();
-        }
-        // Lines 10–15.
-        let c = self.counters.increment(a.tgt);
+        // Lines 11–15: at `T_cyc`, form the trace and end the cycle.
         if c < self.threshold {
             return Vec::new();
         }
-        let formed = form_lei_trace(self.program, cache, &self.buf, a.tgt, old_seq, self.width);
-        for gone in self.buf.truncate_after(old_seq) {
-            self.counters.recycle(gone);
-        }
-        self.counters.recycle(a.tgt);
+        let buf = self.cycles.history();
+        let formed = form_lei_trace(self.program, cache, buf, a.tgt, old_seq, self.width);
+        self.cycles.complete(a.tgt, old_seq);
         match formed {
             Some(t) => vec![Region::trace(self.program, &t.blocks)],
             None => Vec::new(),
         }
     }
 
-    fn on_block(&mut self, _: &CodeCache, _: Addr) -> Vec<Region> {
-        Vec::new()
-    }
-
     fn on_fault(&mut self, fault: super::CounterFault) {
-        match fault {
-            super::CounterFault::Saturate => self.counters.saturate_all(),
-            super::CounterFault::Reset => self.counters.reset_all(),
-        }
+        self.cycles.apply_fault(fault);
     }
 
     fn counters_in_use(&self) -> usize {
-        self.counters.in_use()
-    }
-
-    fn distinct_targets_profiled(&self) -> usize {
-        self.counters.distinct_ever()
+        self.cycles.counters().in_use()
     }
 
     fn peak_counters(&self) -> usize {
-        self.counters.peak()
+        self.cycles.counters().peak()
     }
 
     fn name(&self) -> &'static str {

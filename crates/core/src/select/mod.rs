@@ -26,7 +26,6 @@ pub mod counters;
 pub mod form;
 pub mod history;
 pub mod lei;
-pub mod mojo;
 pub mod net;
 pub mod observe;
 pub mod profile;
@@ -42,7 +41,6 @@ pub use counters::CounterTable;
 pub use form::{GrownTrace, TraceGrower};
 pub use history::{HistoryBuffer, HistoryEntry};
 pub use lei::LeiSelector;
-pub use mojo::MojoSelector;
 pub use net::NetSelector;
 pub use observe::ObservationStore;
 pub use profile::EdgeProfile;
@@ -78,14 +76,25 @@ pub struct Arrival {
 pub trait RegionSelector {
     /// A control transfer observed while interpreting, before the
     /// target block executes. `taken` distinguishes taken branches from
-    /// fall-through.
-    fn on_transfer(&mut self, cache: &CodeCache, src: Addr, tgt: Addr, taken: bool) -> Vec<Region>;
+    /// fall-through. The default selects nothing.
+    fn on_transfer(
+        &mut self,
+        _cache: &CodeCache,
+        _src: Addr,
+        _tgt: Addr,
+        _taken: bool,
+    ) -> Vec<Region> {
+        Vec::new()
+    }
 
     /// An interpreter arrival whose target missed the cache.
     fn on_arrival(&mut self, cache: &CodeCache, arrival: Arrival) -> Vec<Region>;
 
-    /// A block executed by the interpreter.
-    fn on_block(&mut self, cache: &CodeCache, start: Addr) -> Vec<Region>;
+    /// A block executed by the interpreter. The default selects
+    /// nothing.
+    fn on_block(&mut self, _cache: &CodeCache, _start: Addr) -> Vec<Region> {
+        Vec::new()
+    }
 
     /// A profiling-counter fault struck (see
     /// [`sim::faults`](crate::sim::faults)): the selector's counters
@@ -100,11 +109,6 @@ pub trait RegionSelector {
 
     /// Peak number of simultaneously allocated counters (Figure 10).
     fn peak_counters(&self) -> usize;
-
-    /// Distinct branch targets ever profiled (diagnostics).
-    fn distinct_targets_profiled(&self) -> usize {
-        0
-    }
 
     /// Bytes currently used to store observed traces (Figure 18);
     /// zero for non-combining selectors.
@@ -201,7 +205,7 @@ impl SelectorKind {
             SelectorKind::Lei => Box::new(LeiSelector::new(program, config)),
             SelectorKind::CombinedNet => Box::new(CombinedNetSelector::new(program, config)),
             SelectorKind::CombinedLei => Box::new(CombinedLeiSelector::new(program, config)),
-            SelectorKind::Mojo => Box::new(MojoSelector::new(program, config)),
+            SelectorKind::Mojo => Box::new(NetSelector::mojo(program, config)),
             SelectorKind::Boa => Box::new(BoaSelector::new(program, config)),
             SelectorKind::WigginsRedstone => {
                 Box::new(WigginsRedstoneSelector::new(program, config))

@@ -1,10 +1,12 @@
-//! Next-Executing Tail (NET) trace selection — the Dynamo baseline.
+//! Next-Executing Tail (NET) trace selection — the Dynamo baseline —
+//! and Mojo's variant of it (paper §5).
 
 use super::counters::CounterTable;
 use super::form::TraceGrower;
 use super::{Arrival, RegionSelector};
 use crate::cache::{CodeCache, Region};
 use crate::config::SimConfig;
+use crate::fxhash::FxHashSet;
 use rsel_program::{Addr, Program};
 use rsel_trace::AddrWidth;
 
@@ -16,13 +18,22 @@ use rsel_trace::AddrWidth;
 /// counter reaches the execution threshold (50 by default), the counter
 /// is recycled and a trace is selected by interpreting and copying the
 /// path that executes next (see [`TraceGrower`]).
+///
+/// Mojo ([`NetSelector::mojo`]) is the same selector with a second,
+/// lower threshold for addresses known as code-cache exit targets.
 #[derive(Debug)]
 pub struct NetSelector<'p> {
     program: &'p Program,
+    name: &'static str,
     threshold: u32,
+    exit_threshold: u32,
     max_trace_insts: usize,
     width: AddrWidth,
     counters: CounterTable,
+    /// Addresses ever reached by a code-cache exit, which keep the exit
+    /// threshold for the rest of the run; recorded only when the two
+    /// thresholds differ.
+    exit_targets: FxHashSet<Addr>,
     grower: Option<TraceGrower>,
 }
 
@@ -31,17 +42,45 @@ impl<'p> NetSelector<'p> {
     pub fn new(program: &'p Program, config: &SimConfig) -> Self {
         NetSelector {
             program,
+            name: "NET",
             threshold: config.net_threshold,
+            exit_threshold: config.net_threshold,
             max_trace_insts: config.max_trace_insts,
             width: config.addr_width,
             counters: CounterTable::new(),
+            exit_targets: FxHashSet::default(),
             grower: None,
+        }
+    }
+
+    /// Creates a Mojo selector over `program`: NET whose exit targets
+    /// count to `mojo_exit_threshold` instead of `net_threshold`.
+    ///
+    /// Mojo is Microsoft's transparent optimization system for Windows,
+    /// "very similar to Dynamo. One main difference is that it uses one
+    /// threshold for backward-branch targets and a lower threshold for
+    /// trace exits. The authors claim that this lower threshold reduces
+    /// the impact of the rare case where the next-executing trace is a
+    /// cold path. In terms of our analysis, having a lower threshold
+    /// for exit targets also reduces the separation between related hot
+    /// traces. However, this approach still does not allow the related
+    /// traces to be optimized together."
+    pub fn mojo(program: &'p Program, config: &SimConfig) -> Self {
+        NetSelector {
+            name: "Mojo",
+            exit_threshold: config.mojo_exit_threshold,
+            ..NetSelector::new(program, config)
         }
     }
 
     /// Whether a trace is currently being grown (for tests).
     pub fn is_growing(&self) -> bool {
         self.grower.is_some()
+    }
+
+    /// Number of addresses known to be trace-exit targets (tests).
+    pub fn exit_target_count(&self) -> usize {
+        self.exit_targets.len()
     }
 }
 
@@ -60,6 +99,10 @@ impl RegionSelector for NetSelector<'_> {
     }
 
     fn on_arrival(&mut self, _cache: &CodeCache, a: Arrival) -> Vec<Region> {
+        let split = self.exit_threshold != self.threshold;
+        if split && a.from_cache_exit {
+            self.exit_targets.insert(a.tgt);
+        }
         // Profile targets of backward taken branches and of code-cache
         // exits.
         let backward = a.taken && a.src.is_some_and(|s| a.tgt.is_backward_from(s));
@@ -67,7 +110,12 @@ impl RegionSelector for NetSelector<'_> {
             return Vec::new();
         }
         let c = self.counters.increment(a.tgt);
-        if c >= self.threshold && self.grower.is_none() {
+        let threshold = if split && self.exit_targets.contains(&a.tgt) {
+            self.exit_threshold
+        } else {
+            self.threshold
+        };
+        if c >= threshold && self.grower.is_none() {
             self.counters.recycle(a.tgt);
             self.grower = Some(TraceGrower::new(a.tgt, self.max_trace_insts, self.width));
         }
@@ -88,18 +136,11 @@ impl RegionSelector for NetSelector<'_> {
     }
 
     fn on_fault(&mut self, fault: super::CounterFault) {
-        match fault {
-            super::CounterFault::Saturate => self.counters.saturate_all(),
-            super::CounterFault::Reset => self.counters.reset_all(),
-        }
+        self.counters.apply_fault(fault);
     }
 
     fn counters_in_use(&self) -> usize {
         self.counters.in_use()
-    }
-
-    fn distinct_targets_profiled(&self) -> usize {
-        self.counters.distinct_ever()
     }
 
     fn peak_counters(&self) -> usize {
@@ -107,7 +148,7 @@ impl RegionSelector for NetSelector<'_> {
     }
 
     fn name(&self) -> &'static str {
-        "NET"
+        self.name
     }
 }
 
@@ -255,5 +296,91 @@ mod tests {
         // `a`'s counter was recycled before `c`'s was created, so at
         // most one counter ever existed at a time.
         assert_eq!(net.peak_counters(), 1);
+    }
+
+    fn mojo_cfg() -> SimConfig {
+        SimConfig {
+            net_threshold: 10,
+            mojo_exit_threshold: 3,
+            ..SimConfig::default()
+        }
+    }
+
+    #[test]
+    fn exit_targets_use_the_lower_threshold() {
+        let p = program();
+        let mut mojo = NetSelector::mojo(&p, &mojo_cfg());
+        let cache = CodeCache::new();
+        let d = p.blocks()[2].start();
+        for i in 1..=3u32 {
+            mojo.on_arrival(
+                &cache,
+                Arrival {
+                    src: None,
+                    tgt: d,
+                    taken: false,
+                    from_cache_exit: true,
+                },
+            );
+            assert_eq!(
+                mojo.is_growing(),
+                i == 3,
+                "exit threshold 3 fires on the third landing"
+            );
+        }
+        assert_eq!(mojo.exit_target_count(), 1);
+    }
+
+    #[test]
+    fn backward_targets_keep_the_full_threshold() {
+        let p = program();
+        let mut mojo = NetSelector::mojo(&p, &mojo_cfg());
+        let cache = CodeCache::new();
+        let a = p.blocks()[0].start();
+        let src = p.blocks()[0].terminator().addr();
+        let backward = Arrival {
+            src: Some(src),
+            tgt: a,
+            taken: true,
+            from_cache_exit: false,
+        };
+        for _ in 0..9 {
+            mojo.on_arrival(&cache, backward);
+        }
+        assert!(!mojo.is_growing(), "nine backward arrivals stay below 10");
+        mojo.on_arrival(&cache, backward);
+        assert!(mojo.is_growing());
+    }
+
+    #[test]
+    fn exit_classification_is_sticky() {
+        let p = program();
+        let mut mojo = NetSelector::mojo(&p, &mojo_cfg());
+        let cache = CodeCache::new();
+        let a = p.blocks()[0].start();
+        let src = p.blocks()[0].terminator().addr();
+        // One exit landing classifies `a` as an exit target...
+        mojo.on_arrival(
+            &cache,
+            Arrival {
+                src: Some(src),
+                tgt: a,
+                taken: true,
+                from_cache_exit: true,
+            },
+        );
+        // ...so two more backward arrivals reach the lower threshold.
+        for _ in 0..2 {
+            mojo.on_arrival(
+                &cache,
+                Arrival {
+                    src: Some(src),
+                    tgt: a,
+                    taken: true,
+                    from_cache_exit: false,
+                },
+            );
+        }
+        assert!(mojo.is_growing());
     }
 }

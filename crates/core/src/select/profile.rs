@@ -7,6 +7,7 @@
 //! the most frequent direction from a starting point. This module holds
 //! the shared machinery.
 
+use super::Arrival;
 use crate::cache::CodeCache;
 use crate::fxhash::FxHashMap;
 use rsel_program::{Addr, InstKind, Program};
@@ -66,6 +67,22 @@ impl EdgeProfile {
             Site::Cond { not_taken: nt, .. } => *nt += 1,
             Site::Indirect(targets) if taken => *targets.entry(tgt).or_insert(0) += 1,
             Site::Indirect(_) | Site::Other => {}
+        }
+    }
+
+    /// Records the taken edge of an interpreter arrival, whether or not
+    /// it left the code cache. BOA and Wiggins/Redstone call this from
+    /// `on_arrival` and record every interpreted transfer from
+    /// `on_transfer` as well.
+    ///
+    /// Known defect (kept so that reports stay comparable; its fix moves
+    /// both selectors' results): an interpreted taken branch to an
+    /// uncached target is thus recorded twice and a not-taken branch
+    /// once, so the direction counts lean towards taken: a branch taken
+    /// 2 times in 5 reads as majority-taken.
+    pub fn record_arrival(&mut self, program: &Program, a: Arrival) {
+        if let (Some(src), true) = (a.src, a.taken) {
+            self.record(program, src, a.tgt, true);
         }
     }
 

@@ -20,13 +20,8 @@ use crate::cache::{CodeCache, Region};
 use crate::config::SimConfig;
 use rsel_program::{Addr, Program};
 
-/// The Wiggins/Redstone-style sampling selector.
-///
-/// Known defect: like [`BoaSelector`](super::BoaSelector), it records
-/// an interpreted taken branch to an uncached target twice (in
-/// [`on_transfer`](RegionSelector::on_transfer) and
-/// [`on_arrival`](RegionSelector::on_arrival)) and a not-taken branch
-/// once, so its majority directions lean towards taken.
+/// The Wiggins/Redstone-style sampling selector. Its profile
+/// double-counts taken branches; see [`EdgeProfile::record_arrival`].
 #[derive(Debug)]
 pub struct WigginsRedstoneSelector<'p> {
     program: &'p Program,
@@ -66,11 +61,7 @@ impl RegionSelector for WigginsRedstoneSelector<'_> {
     }
 
     fn on_arrival(&mut self, _: &CodeCache, a: Arrival) -> Vec<Region> {
-        if let (Some(src), true) = (a.src, a.taken) {
-            // A fresh arrival was already recorded by `on_transfer`:
-            // the double count documented on `BoaSelector`.
-            self.profile.record(self.program, src, a.tgt, true);
-        }
+        self.profile.record_arrival(self.program, a);
         Vec::new()
     }
 
@@ -99,10 +90,7 @@ impl RegionSelector for WigginsRedstoneSelector<'_> {
     }
 
     fn on_fault(&mut self, fault: super::CounterFault) {
-        match fault {
-            super::CounterFault::Saturate => self.samples.saturate_all(),
-            super::CounterFault::Reset => self.samples.reset_all(),
-        }
+        self.samples.apply_fault(fault);
     }
 
     fn counters_in_use(&self) -> usize {

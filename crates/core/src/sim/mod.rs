@@ -75,7 +75,9 @@ pub struct Simulator<'p> {
     cache: CodeCache,
     stub_bytes: u64,
     mode: Mode,
-    pending_exit: bool,
+    // Control left the code cache and has not yet arrived in the
+    // interpreter (the next arrival's `from_cache_exit`).
+    left_cache: bool,
     prev_block: Option<Addr>,
     // Aggregate counters.
     total_insts: u64,
@@ -161,7 +163,7 @@ impl<'p> Simulator<'p> {
             cache,
             stub_bytes: config.stub_bytes,
             mode: Mode::Interp,
-            pending_exit: false,
+            left_cache: false,
             prev_block: None,
             total_insts: 0,
             cache_insts: 0,
@@ -477,7 +479,7 @@ impl<'p> Simulator<'p> {
         if let Mode::InCache { region, .. } = self.mode {
             if dead.contains(&region) {
                 self.mode = Mode::Interp;
-                self.pending_exit = true;
+                self.left_cache = true;
                 self.resilience.recovery_transitions += 1;
             }
         }
@@ -648,20 +650,20 @@ impl<'p> Simulator<'p> {
                             // Exit to the interpreter; fall through to
                             // the interpreter arrival logic below.
                             self.mode = Mode::Interp;
-                            self.pending_exit = true;
+                            self.left_cache = true;
                         }
                     }
                 }
                 None => {
                     self.mode = Mode::Interp;
-                    self.pending_exit = true;
+                    self.left_cache = true;
                     self.resilience.recovery_transitions += 1;
                 }
             }
         }
 
         // --- Interpreter arrival ---------------------------------------
-        let from_exit = std::mem::take(&mut self.pending_exit);
+        let from_exit = std::mem::take(&mut self.left_cache);
         match entry {
             Entry::Taken { src, .. } => {
                 if !from_exit {

@@ -115,7 +115,7 @@ struct FfSnapshot {
     cache_len: usize,
     flushes: u64,
     mode: Mode,
-    pending_exit: bool,
+    left_cache: bool,
     prev_block: Option<Addr>,
     runtime_len: usize,
     /// Pre-period runtime rows of the regions the warm-up period
@@ -324,7 +324,7 @@ impl<'p> Simulator<'p> {
             cache_len: self.cache.len(),
             flushes: self.cache.flushes(),
             mode: self.mode,
-            pending_exit: self.pending_exit,
+            left_cache: self.left_cache,
             prev_block: self.prev_block,
             runtime_len: self.runtime.len(),
             runtime: touched
@@ -350,7 +350,7 @@ impl<'p> Simulator<'p> {
             || self.cache.len() != s.cache_len
             || self.cache.flushes() != s.flushes
             || self.mode != s.mode
-            || self.pending_exit != s.pending_exit
+            || self.left_cache != s.left_cache
             || self.prev_block != s.prev_block
             || self.runtime.len() != s.runtime_len
             || self.resilience != s.resilience

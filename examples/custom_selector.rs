@@ -6,7 +6,9 @@
 //! user-specified trace-selection algorithm". This crate keeps the same
 //! property: anything implementing
 //! [`RegionSelector`](regionsel::core::select::RegionSelector) drives
-//! the simulator.
+//! the simulator. Only `on_arrival` and the counter statistics are
+//! required: `on_transfer` and `on_block` default to selecting nothing,
+//! so a selector without a trace-growth phase leaves them out.
 //!
 //! The custom algorithm here is *single-block caching*: every backward
 //! branch target above a threshold becomes a one-block region — roughly
@@ -45,10 +47,6 @@ impl<'p> SingleBlockSelector<'p> {
 }
 
 impl RegionSelector for SingleBlockSelector<'_> {
-    fn on_transfer(&mut self, _: &CodeCache, _: Addr, _: Addr, _: bool) -> Vec<Region> {
-        Vec::new()
-    }
-
     fn on_arrival(&mut self, _: &CodeCache, a: Arrival) -> Vec<Region> {
         let backward = a.taken && a.src.is_some_and(|s| a.tgt.is_backward_from(s));
         if !(backward || a.from_cache_exit) {
@@ -63,10 +61,6 @@ impl RegionSelector for SingleBlockSelector<'_> {
         }
         self.counters.remove(&a.tgt);
         vec![Region::trace(self.program, &[a.tgt])]
-    }
-
-    fn on_block(&mut self, _: &CodeCache, _: Addr) -> Vec<Region> {
-        Vec::new()
     }
 
     fn counters_in_use(&self) -> usize {
