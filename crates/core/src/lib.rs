@@ -9,12 +9,12 @@
 //!   [`cache::CodeCache`] holding single-entry regions with
 //!   exit stubs and lazy inter-region linking (paper §2.1);
 //! - the **NET** (Next-Executing Tail) baseline selector
-//!   ([`select::NetSelector`]);
+//!   ([`SelectorKind::Net`]);
 //! - the **LEI** (Last-Executed Iteration) cyclic-trace selector built
-//!   on a branch-history buffer ([`select::LeiSelector`], paper
+//!   on a branch-history buffer ([`SelectorKind::Lei`], paper
 //!   Figures 5–6);
 //! - **trace combination** applied to either base
-//!   ([`select::CombinedNetSelector`], [`select::CombinedLeiSelector`],
+//!   ([`SelectorKind::CombinedNet`], [`SelectorKind::CombinedLei`],
 //!   paper Figures 13–15);
 //! - every metric of the paper's evaluation ([`metrics`]): hit rate,
 //!   code expansion, exit stubs, region transitions, spanned/executed

@@ -17,7 +17,6 @@
 //! four-branch path seen `adore_path_threshold` times is materialized
 //! into a trace with the shared FORM-TRACE walk.
 
-use super::counters::CounterTable;
 use super::lei::form_trace_from_branches;
 use super::{Arrival, RegionSelector};
 use crate::cache::{CodeCache, Region};
@@ -38,9 +37,6 @@ pub struct AdoreSelector<'p> {
     taken_seen: u64,
     path_counts: FxHashMap<[(Addr, Addr); 4], u32>,
     peak_paths: usize,
-    // Counter bookkeeping reported through the selector interface: the
-    // path table is ADORE's profiling memory.
-    counters: CounterTable,
 }
 
 impl<'p> AdoreSelector<'p> {
@@ -55,13 +51,7 @@ impl<'p> AdoreSelector<'p> {
             taken_seen: 0,
             path_counts: FxHashMap::default(),
             peak_paths: 0,
-            counters: CounterTable::new(),
         }
-    }
-
-    /// Distinct four-branch paths currently tracked (tests).
-    pub fn tracked_paths(&self) -> usize {
-        self.path_counts.len()
     }
 }
 
@@ -92,12 +82,10 @@ impl RegionSelector for AdoreSelector<'_> {
         *c = c.saturating_add(1);
         let hot = *c >= self.path_threshold;
         self.peak_paths = self.peak_paths.max(self.path_counts.len());
-        self.counters.increment(entry);
         if !hot {
             return Vec::new();
         }
         self.path_counts.remove(&key);
-        self.counters.recycle(entry);
         // The path spans from the oldest branch's target across the
         // remaining three branches.
         let tail: Vec<(Addr, Addr)> = key[1..].to_vec();
@@ -108,7 +96,6 @@ impl RegionSelector for AdoreSelector<'_> {
     }
 
     fn on_fault(&mut self, fault: super::CounterFault) {
-        self.counters.apply_fault(fault);
         match fault {
             super::CounterFault::Saturate => {
                 self.path_counts.values_mut().for_each(|c| *c = u32::MAX)
@@ -179,7 +166,7 @@ mod tests {
             sim.run(Executor::new(&p, spec));
             assert_eq!(sim.report().region_count(), 0);
         }
-        assert_eq!(sel.tracked_paths(), 0);
+        assert_eq!(sel.path_counts.len(), 0);
         let _ = &mut sel;
     }
 }

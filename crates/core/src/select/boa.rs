@@ -38,11 +38,6 @@ impl<'p> BoaSelector<'p> {
             profile: EdgeProfile::new(),
         }
     }
-
-    /// The branch profile gathered so far (for tests and diagnostics).
-    pub fn profile(&self) -> &EdgeProfile {
-        &self.profile
-    }
 }
 
 impl RegionSelector for BoaSelector<'_> {
@@ -142,7 +137,7 @@ mod tests {
             sel.on_transfer(&cache, src, fall, false);
         }
         assert_eq!(
-            sel.profile().majority_cond(src),
+            sel.profile.majority_cond(src),
             Some(false),
             "taken 2 times in 5 is majority not-taken"
         );

@@ -28,7 +28,6 @@ pub struct CombinedLeiSelector<'p> {
     width: AddrWidth,
     cycles: CycleDetector,
     store: ObservationStore,
-    rejoin_iterations: u64,
 }
 
 impl<'p> CombinedLeiSelector<'p> {
@@ -42,13 +41,7 @@ impl<'p> CombinedLeiSelector<'p> {
             width: config.addr_width,
             cycles: CycleDetector::new(config.history_size),
             store: ObservationStore::new(),
-            rejoin_iterations: 0,
         }
-    }
-
-    /// Total rejoin-marking iterations across all combinations.
-    pub fn rejoin_iterations(&self) -> u64 {
-        self.rejoin_iterations
     }
 }
 
@@ -80,9 +73,7 @@ impl RegionSelector for CombinedLeiSelector<'_> {
         if paths.is_empty() {
             return Vec::new();
         }
-        let res = combine_traces(self.program, a.tgt, &paths, self.t_min);
-        self.rejoin_iterations += res.rejoin_iterations as u64;
-        vec![res.region]
+        vec![combine_traces(self.program, a.tgt, &paths, self.t_min)]
     }
 
     fn on_fault(&mut self, fault: super::CounterFault) {

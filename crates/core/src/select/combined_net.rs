@@ -31,7 +31,6 @@ pub struct CombinedNetSelector<'p> {
     observers: Vec<TraceGrower>,
     combine_on_complete: FxHashSet<Addr>,
     store: ObservationStore,
-    rejoin_iterations: u64,
 }
 
 impl<'p> CombinedNetSelector<'p> {
@@ -48,18 +47,7 @@ impl<'p> CombinedNetSelector<'p> {
             observers: Vec::new(),
             combine_on_complete: FxHashSet::default(),
             store: ObservationStore::new(),
-            rejoin_iterations: 0,
         }
-    }
-
-    /// Number of active observation growers (for tests).
-    pub fn active_observations(&self) -> usize {
-        self.observers.len()
-    }
-
-    /// Total rejoin-marking iterations across all combinations.
-    pub fn rejoin_iterations(&self) -> u64 {
-        self.rejoin_iterations
     }
 
     /// Feeds one event to every active observation, in start order,
@@ -93,9 +81,7 @@ impl<'p> CombinedNetSelector<'p> {
             return None;
         }
         let paths = self.store.take(entry);
-        let res = combine_traces(self.program, entry, &paths, self.t_min);
-        self.rejoin_iterations += res.rejoin_iterations as u64;
-        Some(res.region)
+        Some(combine_traces(self.program, entry, &paths, self.t_min))
     }
 }
 
@@ -275,7 +261,7 @@ mod tests {
         let mut sel = CombinedNetSelector::new(&p, &config());
         let cache = CodeCache::new();
         run_iterations(&mut sel, &cache, &p, &a, 0, 4);
-        assert_eq!(sel.active_observations(), 0);
+        assert_eq!(sel.observers.len(), 0);
         assert_eq!(sel.peak_observed_bytes(), 0);
     }
 
@@ -286,6 +272,6 @@ mod tests {
         let cache = CodeCache::new();
         run_iterations(&mut sel, &cache, &p, &a, 0, 5);
         // The 5th backward arrival pushes the counter past T_start = 4.
-        assert!(sel.active_observations() > 0 || sel.peak_observed_bytes() > 0);
+        assert!(!sel.observers.is_empty() || sel.peak_observed_bytes() > 0);
     }
 }

@@ -53,7 +53,8 @@ impl CounterTable {
     }
 
     /// Current value of the counter for `addr`, if present.
-    pub fn get(&self, addr: Addr) -> Option<u32> {
+    #[cfg(test)]
+    fn get(&self, addr: Addr) -> Option<u32> {
         self.counts.get(&addr).copied()
     }
 
@@ -71,11 +72,6 @@ impl CounterTable {
     /// Maximum counters in use at any point (Figure 10's metric).
     pub fn peak(&self) -> usize {
         self.peak
-    }
-
-    /// Iterates over the addresses currently holding counters.
-    pub fn addresses(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.counts.keys().copied()
     }
 }
 

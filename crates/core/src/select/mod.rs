@@ -18,33 +18,31 @@
 //! Any event may complete one or more regions, which the simulator
 //! inserts into the cache immediately.
 
-pub mod adore;
-pub mod boa;
-pub mod combined_lei;
-pub mod combined_net;
-pub mod counters;
+mod adore;
+mod boa;
+mod combined_lei;
+mod combined_net;
+mod counters;
 pub mod form;
 pub mod history;
 pub mod lei;
-pub mod net;
-pub mod observe;
-pub mod profile;
-pub mod region_cfg;
+mod net;
+mod observe;
+mod profile;
+mod region_cfg;
 pub mod rejoin;
-pub mod wiggins;
+mod wiggins;
 
-pub use adore::AdoreSelector;
-pub use boa::BoaSelector;
-pub use combined_lei::CombinedLeiSelector;
-pub use combined_net::CombinedNetSelector;
-pub use counters::CounterTable;
 pub use form::{GrownTrace, TraceGrower};
-pub use history::{HistoryBuffer, HistoryEntry};
-pub use lei::LeiSelector;
-pub use net::NetSelector;
-pub use observe::ObservationStore;
-pub use profile::EdgeProfile;
-pub use wiggins::WigginsRedstoneSelector;
+pub use history::HistoryBuffer;
+
+use adore::AdoreSelector;
+use boa::BoaSelector;
+use combined_lei::CombinedLeiSelector;
+use combined_net::CombinedNetSelector;
+use lei::LeiSelector;
+use net::NetSelector;
+use wiggins::WigginsRedstoneSelector;
 
 use crate::cache::{CodeCache, Region};
 use crate::config::SimConfig;

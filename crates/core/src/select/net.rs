@@ -72,16 +72,6 @@ impl<'p> NetSelector<'p> {
             ..NetSelector::new(program, config)
         }
     }
-
-    /// Whether a trace is currently being grown (for tests).
-    pub fn is_growing(&self) -> bool {
-        self.grower.is_some()
-    }
-
-    /// Number of addresses known to be trace-exit targets (tests).
-    pub fn exit_target_count(&self) -> usize {
-        self.exit_targets.len()
-    }
 }
 
 impl RegionSelector for NetSelector<'_> {
@@ -195,7 +185,7 @@ mod tests {
             );
         }
         assert_eq!(net.counters_in_use(), 0);
-        assert!(!net.is_growing());
+        assert!(net.grower.is_none());
     }
 
     #[test]
@@ -215,7 +205,7 @@ mod tests {
                     from_cache_exit: false,
                 },
             );
-            assert_eq!(net.is_growing(), i == 3);
+            assert_eq!(net.grower.is_some(), i == 3);
         }
         // Counter recycled when growth starts.
         assert_eq!(net.counters_in_use(), 0);
@@ -226,7 +216,7 @@ mod tests {
         assert_eq!(regions.len(), 1);
         assert_eq!(regions[0].entry(), a);
         assert!(regions[0].spans_cycle());
-        assert!(!net.is_growing());
+        assert!(net.grower.is_none());
     }
 
     #[test]
@@ -256,7 +246,7 @@ mod tests {
                 from_cache_exit: true,
             },
         );
-        assert!(net.is_growing(), "third exit landing reaches threshold");
+        assert!(net.grower.is_some(), "third exit landing reaches threshold");
     }
 
     #[test]
@@ -278,7 +268,7 @@ mod tests {
                 },
             );
         }
-        assert!(net.is_growing());
+        assert!(net.grower.is_some());
         // Another target reaching threshold while growing does not
         // start a second grower (and keeps its counter).
         for _ in 0..4 {
@@ -323,12 +313,12 @@ mod tests {
                 },
             );
             assert_eq!(
-                mojo.is_growing(),
+                mojo.grower.is_some(),
                 i == 3,
                 "exit threshold 3 fires on the third landing"
             );
         }
-        assert_eq!(mojo.exit_target_count(), 1);
+        assert_eq!(mojo.exit_targets.len(), 1);
     }
 
     #[test]
@@ -347,9 +337,12 @@ mod tests {
         for _ in 0..9 {
             mojo.on_arrival(&cache, backward);
         }
-        assert!(!mojo.is_growing(), "nine backward arrivals stay below 10");
+        assert!(
+            mojo.grower.is_none(),
+            "nine backward arrivals stay below 10"
+        );
         mojo.on_arrival(&cache, backward);
-        assert!(mojo.is_growing());
+        assert!(mojo.grower.is_some());
     }
 
     #[test]
@@ -381,6 +374,6 @@ mod tests {
                 },
             );
         }
-        assert!(mojo.is_growing());
+        assert!(mojo.grower.is_some());
     }
 }

@@ -64,7 +64,8 @@ impl ObservationStore {
     }
 
     /// Number of traces currently stored for `target`.
-    pub fn count(&self, target: Addr) -> usize {
+    #[cfg(test)]
+    fn count(&self, target: Addr) -> usize {
         self.traces.get(&target).map_or(0, |o| o.paths.len())
     }
 
@@ -87,7 +88,8 @@ impl ObservationStore {
     }
 
     /// Number of targets with outstanding observations.
-    pub fn targets(&self) -> usize {
+    #[cfg(test)]
+    fn targets(&self) -> usize {
         self.traces.len()
     }
 }

@@ -109,9 +109,9 @@ impl EdgeProfile {
     }
 
     /// Number of profiled branch sites: conditional branches, and
-    /// indirect transfers with at least one taken record
-    /// (diagnostics).
-    pub fn sites(&self) -> usize {
+    /// indirect transfers with at least one taken record.
+    #[cfg(test)]
+    fn sites(&self) -> usize {
         self.sites
             .values()
             .filter(|s| match s {

@@ -15,7 +15,6 @@ use std::collections::HashSet;
 /// it occurs.
 #[derive(Clone, Debug)]
 pub struct ObservedCfg {
-    entry: Addr,
     nodes: Vec<Addr>,
     /// Each node's index in `nodes` (and `occurrences`).
     slots: FxHashMap<Addr, usize>,
@@ -74,18 +73,12 @@ impl ObservedCfg {
             .map(|(&b, out)| (b, out))
             .collect();
         ObservedCfg {
-            entry,
             nodes,
             slots,
             edges,
             occurrences,
             trace_count: paths.len() as u32,
         }
-    }
-
-    /// The region entry (first block of every observed trace).
-    pub fn entry(&self) -> Addr {
-        self.entry
     }
 
     /// Blocks in first-observed order (entry first).
@@ -109,18 +102,6 @@ impl ObservedCfg {
     }
 }
 
-/// The outcome of combining a target's observed traces.
-#[derive(Debug)]
-pub struct CombineResult {
-    /// The combined multi-path region.
-    pub region: Region,
-    /// Iterations taken by the rejoin-marking pass.
-    pub rejoin_iterations: usize,
-    /// Observed blocks dropped for occurring in fewer than `T_min`
-    /// traces (and not lying on a rejoining path).
-    pub dropped_blocks: usize,
-}
-
 /// Runs the full combination pipeline of Figure 13 (lines 12–17) over
 /// the observed traces' block paths: build the CFG, mark blocks occurring in at least `t_min` traces,
 /// mark rejoining paths, drop everything unmarked, promote exits that
@@ -130,12 +111,7 @@ pub struct CombineResult {
 /// observation windows overlap and some are skipped), the cut-off is
 /// lowered to the number of traces so that the entry — present in every
 /// trace — is always kept.
-pub fn combine_traces(
-    program: &Program,
-    entry: Addr,
-    paths: &[Vec<Addr>],
-    t_min: u32,
-) -> CombineResult {
+pub fn combine_traces(program: &Program, entry: Addr, paths: &[Vec<Addr>], t_min: u32) -> Region {
     let cfg = ObservedCfg::build(entry, paths);
     let cut = t_min.min(cfg.trace_count());
     let initially_marked: HashSet<Addr> = cfg
@@ -155,7 +131,6 @@ pub fn combine_traces(
         .copied()
         .filter(|b| rejoin.marked.contains(b))
         .collect();
-    let dropped = cfg.nodes().len() - kept.len();
     let kept_set: FxHashSet<Addr> = kept.iter().copied().collect();
     let mut edge_pairs: Vec<(Addr, Addr)> = Vec::new();
     for (&from, succs) in cfg.edges() {
@@ -170,12 +145,7 @@ pub fn combine_traces(
     }
     // Deterministic ordering (HashMap iteration order is not).
     edge_pairs.sort();
-    let region = Region::combined(program, &kept, &edge_pairs);
-    CombineResult {
-        region,
-        rejoin_iterations: rejoin.iterations,
-        dropped_blocks: dropped,
-    }
+    Region::combined(program, &kept, &edge_pairs)
 }
 
 #[cfg(test)]
@@ -248,11 +218,9 @@ mod tests {
             observe(&p, &s, true),
             observe(&p, &s, false),
         ];
-        let res = combine_traces(&p, s[0], &traces, 2);
-        let r = &res.region;
+        let r = combine_traces(&p, s[0], &traces, 2);
         assert!(r.contains_block(s[1]) && r.contains_block(s[2]));
         assert!(r.contains_block(s[3]));
-        assert_eq!(res.dropped_blocks, 0);
         // Join appears once: no duplication of D/F blocks as under NET.
         assert_eq!(r.blocks().len(), 4);
         // The only exit is J's fall-through to X.
@@ -266,8 +234,7 @@ mod tests {
         // trace combination selects only that path" (§4.2).
         let (p, s) = diamond();
         let traces: Vec<Vec<Addr>> = (0..5).map(|_| observe(&p, &s, true)).collect();
-        let res = combine_traces(&p, s[0], &traces, 2);
-        let r = &res.region;
+        let r = combine_traces(&p, s[0], &traces, 2);
         assert!(r.contains_block(s[2]));
         assert!(!r.contains_block(s[1]), "never-taken side is excluded");
         assert_eq!(r.blocks().len(), 3);
@@ -284,9 +251,9 @@ mod tests {
             observe(&p, &s, true),
             observe(&p, &s, false),
         ];
-        let res = combine_traces(&p, s[0], &traces, 3);
-        assert!(res.region.contains_block(s[1]), "rejoining path kept");
-        assert_eq!(res.dropped_blocks, 0);
+        let r = combine_traces(&p, s[0], &traces, 3);
+        assert!(r.contains_block(s[1]), "rejoining path kept");
+        assert_eq!(r.blocks().len(), 4);
     }
 
     #[test]
@@ -315,9 +282,9 @@ mod tests {
             path(&p, r, end)
         };
         let traces = vec![mk(true), mk(true), mk(true), mk(false)];
-        let res = combine_traces(&p, s0, &traces, 3);
-        assert!(!res.region.contains_block(p.block(fall).start()));
-        assert_eq!(res.dropped_blocks, 1);
+        let r = combine_traces(&p, s0, &traces, 3);
+        assert!(!r.contains_block(p.block(fall).start()));
+        assert_eq!(r.blocks().len(), 3);
     }
 
     #[test]
@@ -331,7 +298,7 @@ mod tests {
         let steps: Vec<_> = Executor::new(&p, spec).collect();
         assert!(steps.len() >= 4);
         let traces = vec![observe(&p, &s, true), observe(&p, &s, false)];
-        let res = combine_traces(&p, s[0], &traces, 1);
-        assert!(res.region.spans_cycle() || res.region.stub_count() >= 1);
+        let r = combine_traces(&p, s[0], &traces, 1);
+        assert!(r.spans_cycle() || r.stub_count() >= 1);
     }
 }

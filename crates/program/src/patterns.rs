@@ -132,13 +132,6 @@ impl ScenarioBuilder {
         self.cond.push((b, CondBehavior::Trips(trips)));
     }
 
-    /// Ends `b` with a conditional branch to `target` following an
-    /// explicit cyclic pattern.
-    pub fn branch_pattern(&mut self, b: BlockId, target: BlockId, pattern: Vec<bool>) {
-        self.pb.cond_branch(b, target);
-        self.cond.push((b, CondBehavior::Pattern(pattern)));
-    }
-
     /// Ends `b` with a conditional branch with fully custom behaviour.
     pub fn branch_custom(&mut self, b: BlockId, target: BlockId, behavior: CondBehavior) {
         self.pb.cond_branch(b, target);
@@ -153,13 +146,6 @@ impl ScenarioBuilder {
     /// Ends `b` with a direct call to `callee`.
     pub fn call(&mut self, b: BlockId, callee: FunctionId) {
         self.pb.call(b, callee);
-    }
-
-    /// Ends `b` with an indirect call dispatching over `callees` with
-    /// the given weights.
-    pub fn indirect_call_weighted(&mut self, b: BlockId, callees: Vec<(BlockId, u32)>) {
-        self.pb.indirect_call(b);
-        self.indirect.push((b, IndirectIntent::Weighted(callees)));
     }
 
     /// Ends `b` with an indirect jump over weighted targets.

@@ -205,12 +205,6 @@ impl DecodedStream {
         }
     }
 
-    /// The id of program block `bidx`.
-    #[inline]
-    pub fn block_id(&self, bidx: usize) -> BlockId {
-        self.ids[bidx]
-    }
-
     /// The start address of program block `bidx`.
     #[inline]
     pub fn block_start(&self, bidx: usize) -> Addr {

@@ -87,11 +87,6 @@ impl CompactStream {
         s
     }
 
-    /// Records at most `limit` steps of `source`.
-    pub fn record_bounded<I: IntoIterator<Item = Step>>(source: I, limit: usize) -> Self {
-        CompactStream::record(source.into_iter().take(limit))
-    }
-
     /// Number of recorded steps.
     pub fn len(&self) -> usize {
         self.blocks.len()
@@ -216,32 +211,6 @@ impl StreamStats {
         }
         s
     }
-
-    /// Computes statistics for a compact stream in one pass over its
-    /// raw arrays, without materializing a single [`Step`]. Equal to
-    /// [`StreamStats::collect`] over the replayed steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a recorded block index is out of range for `program`.
-    pub fn collect_compact(program: &Program, stream: &CompactStream) -> Self {
-        let mut s = StreamStats::default();
-        let blocks = program.blocks();
-        let mut srcs = stream.taken_srcs.iter();
-        for (&idx, &tag) in stream.blocks.iter().zip(&stream.tags) {
-            let b = &blocks[idx as usize];
-            s.blocks += 1;
-            s.instructions += b.len() as u64;
-            if tag >= ENTRY_TAKEN_BASE {
-                let src = *srcs.next().expect("taken entry has a recorded source");
-                s.taken_branches += 1;
-                if b.start().is_backward_from(src) {
-                    s.backward_taken += 1;
-                }
-            }
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -265,20 +234,6 @@ mod tests {
         spec.loop_trips(p.block(body).branch_addr().unwrap(), 4);
         let live = Executor::new(&p, spec).collect();
         (p, live)
-    }
-
-    /// A program spinning forever on one block.
-    fn spin() -> (Program, BehaviorSpec) {
-        let mut b = ProgramBuilder::new();
-        let f = b.function("main", 0x100);
-        let spin = b.block(f);
-        let exit = b.block_with(f, 0);
-        b.cond_branch(spin, spin);
-        b.ret(exit);
-        let p = b.build().unwrap();
-        let mut spec = BehaviorSpec::new(0);
-        spec.always(p.block(spin).branch_addr().unwrap());
-        (p, spec)
     }
 
     #[test]
@@ -325,24 +280,6 @@ mod tests {
             }
         }
         assert_eq!(compact.taken_count(), live_taken);
-    }
-
-    #[test]
-    fn compact_stats_match_step_stats() {
-        let (p, live) = run();
-        let compact = CompactStream::record(live.iter().copied());
-        assert_eq!(
-            StreamStats::collect_compact(&p, &compact),
-            StreamStats::collect(&p, &live)
-        );
-    }
-
-    #[test]
-    fn compact_bounded_recording_truncates() {
-        let (p, spec) = spin();
-        let rec = CompactStream::record_bounded(Executor::new(&p, spec), 10);
-        assert_eq!(rec.len(), 10);
-        assert_eq!(rec.replay(&p).count(), 10);
     }
 
     #[test]
