@@ -429,7 +429,7 @@ fn main() {
         eprintln!(
             "  churn: {} disconnects, {} crashes, {} reconnects, \
              {} recovered epochs, {} checkpoints ({} B), \
-             {} shed arrivals ({} retries), {} quarantined \
+             {} shed arrivals, {} quarantined \
              ({} retried), mean admission wait {:.2} rounds",
             rep.disconnects(),
             rep.crashes(),
@@ -438,7 +438,6 @@ fn main() {
             rep.checkpoints_taken(),
             rep.checkpoint_bytes(),
             rep.queue.shed_arrivals,
-            rep.queue.admission_retries,
             rep.quarantined_tenants(),
             rep.quarantine_retries(),
             rep.mean_admission_wait(),

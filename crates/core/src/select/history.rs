@@ -153,11 +153,6 @@ impl HistoryBuffer {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]

@@ -273,8 +273,9 @@ impl<'p> LeiSelector<'p> {
         }
     }
 
-    /// The history buffer (for tests and diagnostics).
-    pub fn history(&self) -> &HistoryBuffer {
+    /// The history buffer.
+    #[cfg(test)]
+    fn history(&self) -> &HistoryBuffer {
         self.cycles.history()
     }
 }

@@ -470,7 +470,6 @@ mod tests {
             insts,
             cache_insts: cache,
             insts_selected: selected,
-            regions_selected: selected / 10,
             ..EpochStats::default()
         }
     }

@@ -46,13 +46,6 @@ pub struct QueueStats {
     /// admission timeout is pushed back out of the pending set and
     /// told to retry after an exponential backoff.
     pub shed_arrivals: u64,
-    /// Re-arrivals of previously shed tenants (each shed arrival
-    /// retries until admitted, so shedding delays work, never drops
-    /// it).
-    pub admission_retries: u64,
-    /// Quarantined tenants re-admitted with a fresh cold session after
-    /// the quarantine penalty elapsed (zero when retries are off).
-    pub quarantine_retries: u64,
     /// Log2 histogram of rounds waited from (re)arrival to admission,
     /// one sample per admission: bucket 0 is an immediate admission,
     /// bucket `k >= 1` covers waits in `[2^(k-1), 2^k)` rounds (see
@@ -94,7 +87,7 @@ pub struct ShardReport {
 }
 
 /// One tenant's serving summary.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TenantSummary {
     /// Tenant id (admission order).
     pub tenant: u16,
@@ -478,9 +471,11 @@ impl ServeReport {
             "  \"shed_arrivals\": {},\n",
             self.queue.shed_arrivals
         ));
+        // Every shed arrival retries until admitted, so retries equal
+        // sheds: shedding delays work, never drops it.
         o.push_str(&format!(
             "  \"admission_retries\": {},\n",
-            self.queue.admission_retries
+            self.queue.shed_arrivals
         ));
         o.push_str(&format!(
             "  \"pressure_waves\": {},\n",

@@ -124,11 +124,7 @@ pub struct EpochStats {
     pub cache_insts: u64,
     /// Instructions copied into the cache this epoch (code expansion).
     pub insts_selected: u64,
-    /// Regions selected this epoch.
-    pub regions_selected: u64,
-    /// Self-modifying-code write faults that struck this epoch.
-    pub smc_events: u64,
-    /// Regions killed by those writes this epoch.
+    /// Regions killed by self-modifying-code writes this epoch.
     pub smc_invalidated: u64,
 }
 
@@ -195,8 +191,6 @@ pub struct TenantSession<'p> {
     prev_insts: u64,
     prev_cache_insts: u64,
     prev_insts_selected: u64,
-    prev_regions_selected: u64,
-    prev_smc_events: u64,
     prev_smc_invalidated: u64,
 }
 
@@ -231,8 +225,6 @@ impl<'p> TenantSession<'p> {
             prev_insts: 0,
             prev_cache_insts: 0,
             prev_insts_selected: 0,
-            prev_regions_selected: 0,
-            prev_smc_events: 0,
             prev_smc_invalidated: 0,
         }
     }
@@ -279,11 +271,6 @@ impl<'p> TenantSession<'p> {
             .map_err(|source| SnapshotError::BadRegion { tenant, source })?;
         session.sim.restore_blacklist(&snap.blacklist);
         Ok(session)
-    }
-
-    /// The tenant id.
-    pub fn tenant(&self) -> u16 {
-        self.tenant
     }
 
     /// The workload this session replays.
@@ -371,21 +358,16 @@ impl<'p> TenantSession<'p> {
         for entry in self.sim.drain_invalidations() {
             self.smc_by_shard[shard_of(self.tenant, entry, self.shard_count)] += 1;
         }
-        let res = self.sim.resilience();
         let stats = EpochStats {
             steps,
             insts: self.sim.total_insts() - self.prev_insts,
             cache_insts: self.sim.cache_insts() - self.prev_cache_insts,
             insts_selected: self.sim.insts_selected() - self.prev_insts_selected,
-            regions_selected: self.sim.regions_selected() - self.prev_regions_selected,
-            smc_events: res.smc_events - self.prev_smc_events,
-            smc_invalidated: res.invalidated_regions - self.prev_smc_invalidated,
+            smc_invalidated: self.sim.resilience().invalidated_regions - self.prev_smc_invalidated,
         };
         self.prev_insts = self.sim.total_insts();
         self.prev_cache_insts = self.sim.cache_insts();
         self.prev_insts_selected = self.sim.insts_selected();
-        self.prev_regions_selected = self.sim.regions_selected();
-        self.prev_smc_events = self.sim.resilience().smc_events;
         self.prev_smc_invalidated = self.sim.resilience().invalidated_regions;
         stats
     }
@@ -514,16 +496,6 @@ impl<'p> TenantSession<'p> {
         (evicted, left)
     }
 
-    /// Share mode: the content refs this session believes it holds —
-    /// `(store shard, key, bytes)` per live region, for invariant
-    /// checks.
-    pub fn shared_refs(&self) -> Vec<(usize, u64, u64)> {
-        self.shared
-            .values()
-            .map(|r| (r.shard, r.key, r.bytes))
-            .collect()
-    }
-
     /// Barrier-side pressure planning: this tenant's live regions in
     /// `shard` as `(id, size estimate)`, in selection order. The
     /// scheduler plans a shard's whole victim set against these lists
@@ -586,11 +558,6 @@ impl<'p> TenantSession<'p> {
     /// Regions ever selected (monotone).
     pub fn regions_selected(&self) -> u64 {
         self.sim.regions_selected()
-    }
-
-    /// Regions evicted from this session by shard pressure.
-    pub fn pressure_evicted(&self) -> u64 {
-        self.sim.resilience().pressure_evicted_regions
     }
 
     /// The session's resilience statistics so far.
@@ -685,7 +652,7 @@ mod tests {
         assert_eq!(evicted, count as u64);
         assert!(left < before);
         assert_eq!(left, s.occupancy()[heavy]);
-        assert_eq!(s.pressure_evicted(), evicted);
+        assert_eq!(s.resilience().pressure_evicted_regions, evicted);
     }
 
     #[test]

@@ -210,7 +210,8 @@ impl SharedCacheMap {
     }
 
     /// Current total occupancy across all shards.
-    pub fn total_bytes(&mut self) -> u64 {
+    #[cfg(test)]
+    fn total_bytes(&mut self) -> u64 {
         self.slots
             .iter_mut()
             .map(|s| s.get_mut().unwrap_or_else(PoisonError::into_inner).total())

@@ -157,5 +157,5 @@ fn overload_shedding_is_pinned() {
     let out = check("overload", 0x733914325092f667, |jobs| {
         serve(&specs, &config, jobs).unwrap()
     });
-    assert!(out.report.queue.shed_arrivals > 0 && out.report.queue.admission_retries > 0);
+    assert!(out.report.queue.shed_arrivals > 0);
 }
