@@ -16,6 +16,9 @@ use rsel_program::Addr;
 /// dirty-tracking granularity of the code cache, not the MMU.
 pub const INDEX_PAGE_BYTES: u64 = 512;
 
+/// Sentinel of the dense id and entry-block tables: no live region.
+const NONE: u32 = u32::MAX;
+
 /// The outcome of removing regions from the cache (a self-modifying-code
 /// invalidation or a cache-pressure eviction wave).
 #[derive(Debug, Default)]
@@ -50,14 +53,33 @@ pub struct Removal {
 /// linking are registered with [`CodeCache::record_link`] and severed
 /// automatically when either endpoint is removed, so no link ever
 /// dangles.
+///
+/// The simulator's per-step paths never hash: ids resolve through a
+/// dense table indexed by id, entries through a dense table indexed by
+/// the entry's program block ([`CodeCache::lookup_block`]), and a
+/// per-region memo turns a repeated [`CodeCache::record_link`] into two
+/// compares. All regions of one cache must come from one program.
 #[derive(Clone, Debug)]
 pub struct CodeCache {
     /// Live regions in selection order.
     regions: Vec<Region>,
-    /// Live entry address → region id.
+    /// Live entry address → region id (selectors' [`CodeCache::lookup`]
+    /// and [`CodeCache::contains`]).
     entries: FxHashMap<Addr, RegionId>,
-    /// Live region id → index in `regions`.
-    index_of: FxHashMap<RegionId, usize>,
+    /// Region id → index in `regions`, or [`NONE`] once the region is
+    /// removed. Ids are assigned densely from zero until a flush, so
+    /// the table's length is always `next_id`.
+    index_of: Vec<u32>,
+    /// Region id → the last two distinct `to` ids recorded by
+    /// [`CodeCache::record_link`] from it, most recent first ([`NONE`]
+    /// = none yet); parallel to `index_of`. Link sets only grow until
+    /// an endpoint dies, and a dead id never comes back before a
+    /// flush, so a memo hit is always a link already recorded (or one
+    /// to a dead region, which is ignored anyway).
+    last_link: Vec<[u32; 2]>,
+    /// Program block index → id of the live region entered there, or
+    /// [`NONE`]; grown on demand to the highest entry block seen.
+    entry_blocks: Vec<u32>,
     /// Page-granular invalidation index: page number (at
     /// [`INDEX_PAGE_BYTES`] per page) → ids of live regions with a
     /// copied block whose bytes touch that page. Regions register
@@ -81,7 +103,9 @@ impl Default for CodeCache {
         CodeCache {
             regions: Vec::new(),
             entries: FxHashMap::default(),
-            index_of: FxHashMap::default(),
+            index_of: Vec::new(),
+            last_link: Vec::new(),
+            entry_blocks: Vec::new(),
             page_index: FxHashMap::default(),
             next_id: 0,
             links_out: FxHashMap::default(),
@@ -133,9 +157,13 @@ impl CodeCache {
     /// Empties the cache (the bounded-cache flush policy). Region ids
     /// restart from zero and all links are dropped.
     pub fn flush(&mut self) {
+        for r in &self.regions {
+            self.entry_blocks[r.entry_block().index()] = NONE;
+        }
         self.regions.clear();
         self.entries.clear();
         self.index_of.clear();
+        self.last_link.clear();
         self.page_index.clear();
         self.links_out.clear();
         self.links_in.clear();
@@ -147,6 +175,18 @@ impl CodeCache {
     /// Looks up the region entered at `addr`, if any.
     pub fn lookup(&self, addr: Addr) -> Option<RegionId> {
         self.entries.get(&addr).copied()
+    }
+
+    /// Looks up the region entered at the start of program block
+    /// `block` (a [`BlockId`](rsel_program::BlockId) index) — the same
+    /// answer as [`CodeCache::lookup`] at that block's address, from a
+    /// dense table instead of a hash probe.
+    #[inline]
+    pub fn lookup_block(&self, block: usize) -> Option<RegionId> {
+        match self.entry_blocks.get(block) {
+            Some(&id) if id != NONE => Some(RegionId(id)),
+            _ => None,
+        }
     }
 
     /// Whether some region is entered at `addr`.
@@ -182,7 +222,14 @@ impl CodeCache {
         region.set_cache_offset(self.next_offset);
         self.next_offset += region.size_estimate(self.stub_bytes);
         self.entries.insert(region.entry(), id);
-        self.index_of.insert(id, self.regions.len());
+        self.index_of.push(self.regions.len() as u32);
+        self.last_link.push([NONE; 2]);
+        let block = region.entry_block().index();
+        if self.entry_blocks.len() <= block {
+            self.entry_blocks.resize(block + 1, NONE);
+        }
+        debug_assert_eq!(self.entry_blocks[block], NONE, "one program per cache");
+        self.entry_blocks[block] = id.0;
         for page in region.pages_spanned(INDEX_PAGE_BYTES) {
             self.page_index.entry(page).or_default().push(id);
         }
@@ -207,9 +254,8 @@ impl CodeCache {
     /// The region with the given id, or [`SimError::UnknownRegion`] if
     /// it is not live (never existed, was invalidated, or was flushed).
     pub fn try_region(&self, id: RegionId) -> Result<&Region, SimError> {
-        self.index_of
-            .get(&id)
-            .map(|&i| &self.regions[i])
+        self.region_index(id)
+            .map(|i| &self.regions[i])
             .ok_or(SimError::UnknownRegion(id))
     }
 
@@ -219,7 +265,10 @@ impl CodeCache {
     /// region's id before use.
     #[inline]
     pub fn region_index(&self, id: RegionId) -> Option<usize> {
-        self.index_of.get(&id).copied()
+        match self.index_of.get(id.index()) {
+            Some(&i) if i != NONE => Some(i as usize),
+            _ => None,
+        }
     }
 
     /// All live regions in selection order.
@@ -239,11 +288,26 @@ impl CodeCache {
 
     /// Records a lazy link `from → to` (an exit stub of `from` patched
     /// to jump straight into `to`). Self-links are ignored; dead ids
-    /// are ignored.
+    /// are ignored. Re-recording one of the last two links recorded
+    /// from `from` costs two compares.
+    #[inline]
     pub fn record_link(&mut self, from: RegionId, to: RegionId) {
-        if from == to || !self.index_of.contains_key(&from) || !self.index_of.contains_key(&to) {
+        if !self
+            .last_link
+            .get(from.index())
+            .is_some_and(|m| m.contains(&to.0))
+        {
+            self.insert_link(from, to);
+        }
+    }
+
+    #[inline(never)]
+    fn insert_link(&mut self, from: RegionId, to: RegionId) {
+        if from == to || self.region_index(from).is_none() || self.region_index(to).is_none() {
             return;
         }
+        let memo = &mut self.last_link[from.index()];
+        *memo = [to.0, memo[0]];
         if self.links_out.entry(from).or_default().insert(to) {
             self.links_in.entry(to).or_default().insert(from);
         }
@@ -282,7 +346,7 @@ impl CodeCache {
         let mut ids: Vec<RegionId> = Vec::new();
         let candidates = |page_ids: &[RegionId], ids: &mut Vec<RegionId>| {
             for &id in page_ids {
-                if self.regions[self.index_of[&id]].overlaps_range(lo, hi) {
+                if self.regions[self.index_of[id.index()] as usize].overlaps_range(lo, hi) {
                     ids.push(id);
                 }
             }
@@ -333,16 +397,15 @@ impl CodeCache {
             self.regions_overlapping_scan(lo, hi),
             "page index diverged from the scan oracle for [{lo}, {hi})"
         );
-        let doomed: FxHashSet<RegionId> = indexed.into_iter().collect();
-        self.remove_ids(&doomed)
+        self.remove_ids(indexed)
     }
 
     /// Removes the `count` oldest (earliest-selected) live regions —
     /// the recovery response to a cache-pressure flush wave. Links
     /// touching a removed region are severed.
     pub fn evict_oldest(&mut self, count: usize) -> Removal {
-        let doomed: FxHashSet<RegionId> = self.regions.iter().take(count).map(Region::id).collect();
-        self.remove_ids(&doomed)
+        let doomed: Vec<RegionId> = self.regions.iter().take(count).map(Region::id).collect();
+        self.remove_ids(doomed)
     }
 
     /// Removes the named live regions (dead ids are ignored) — the
@@ -350,28 +413,31 @@ impl CodeCache {
     /// regions, e.g. the multi-tenant runtime's shard-pressure
     /// eviction. Links touching a removed region are severed.
     pub fn remove_regions(&mut self, ids: &[RegionId]) -> Removal {
-        let doomed: FxHashSet<RegionId> = ids
-            .iter()
-            .copied()
-            .filter(|id| self.index_of.contains_key(id))
-            .collect();
-        self.remove_ids(&doomed)
+        self.remove_ids(ids.iter().copied())
     }
 
-    fn remove_ids(&mut self, doomed: &FxHashSet<RegionId>) -> Removal {
-        if doomed.is_empty() {
+    /// Removes the named regions; dead and repeated ids are ignored.
+    /// Each doomed id is marked dead in `index_of` first, so the pass
+    /// over `regions` tells doomed from kept without a set.
+    fn remove_ids(&mut self, ids: impl IntoIterator<Item = RegionId>) -> Removal {
+        let mut severed = 0;
+        let mut doomed = 0;
+        for id in ids {
+            if self.region_index(id).is_some() {
+                self.index_of[id.index()] = NONE;
+                severed += self.unlink(id);
+                doomed += 1;
+            }
+        }
+        if doomed == 0 {
             return Removal::default();
         }
-        let mut severed = 0;
-        for &id in doomed {
-            severed += self.unlink(id);
-        }
-        let mut removed = Vec::with_capacity(doomed.len());
-        let mut kept = Vec::with_capacity(self.regions.len() - doomed.len());
+        let mut removed = Vec::with_capacity(doomed);
+        let mut kept = Vec::with_capacity(self.regions.len() - doomed);
         for r in std::mem::take(&mut self.regions) {
-            if doomed.contains(&r.id()) {
+            if self.index_of[r.id().index()] == NONE {
                 self.entries.remove(&r.entry());
-                self.index_of.remove(&r.id());
+                self.entry_blocks[r.entry_block().index()] = NONE;
                 for page in r.pages_spanned(INDEX_PAGE_BYTES) {
                     let bucket = self
                         .page_index
@@ -389,7 +455,7 @@ impl CodeCache {
         }
         self.regions = kept;
         for (i, r) in self.regions.iter().enumerate() {
-            self.index_of.insert(r.id(), i);
+            self.index_of[r.id().index()] = i as u32;
         }
         Removal {
             removed,

@@ -15,7 +15,7 @@
 
 use crate::error::SimError;
 use crate::fxhash::{self, FxHashMap, FxHashSet};
-use rsel_program::{Addr, InstKind, Program};
+use rsel_program::{Addr, BlockId, InstKind, Program};
 use std::fmt;
 
 /// Identifier of a region within a [`CodeCache`](crate::CodeCache);
@@ -50,6 +50,7 @@ pub enum RegionKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RegionBlock {
     start: Addr,
+    block: BlockId,
     insts: u32,
     bytes: u64,
     term: InstKind,
@@ -63,6 +64,7 @@ impl RegionBlock {
             .ok_or(SimError::UnknownBlock(start))?;
         Ok(RegionBlock {
             start,
+            block: b.id(),
             insts: b.len() as u32,
             bytes: b.byte_size(),
             term: b.terminator_kind(),
@@ -360,6 +362,12 @@ impl Region {
     /// The single entry address.
     pub fn entry(&self) -> Addr {
         self.entry
+    }
+
+    /// The program block at the entry (both constructors put the entry
+    /// in slot 0).
+    pub fn entry_block(&self) -> BlockId {
+        self.blocks[0].block
     }
 
     /// The copied blocks.

@@ -33,6 +33,10 @@ use rsel_program::{Addr, Entry, Program, Step};
 /// Virtual-memory page size used for the layout-locality metric.
 const PAGE_BYTES: u64 = 4096;
 
+/// The exit-edge memo's "nothing recorded" value: no live region has
+/// this id.
+const NO_EXIT: (RegionId, Addr) = (RegionId(u32::MAX), Addr::new(u64::MAX));
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
     Interp,
@@ -107,6 +111,13 @@ pub struct Simulator<'p> {
     // Exits observed leaving the cache towards each block:
     // {(region, from block)}, dense by the target's block index.
     exit_edges: Vec<FxHashSet<(RegionId, Addr)>>,
+    // The last two distinct exit edges inserted into each block's
+    // exit_edges set, most recent first (NO_EXIT = none yet), as
+    // last_pred does for exec_preds. A set only loses edges of removed
+    // regions, whose ids never recur before a flush, so a memo hit is
+    // an edge already present; retire_all resets the memo with the
+    // sets when ids restart.
+    last_exit: Vec<[(RegionId, Addr); 2]>,
     // Regions removed from the cache (bounded-cache flushes, fault
     // invalidations, pressure evictions), with their final stats.
     retired: Vec<RegionReport>,
@@ -156,7 +167,14 @@ impl<'p> Simulator<'p> {
         // the hot path never grows them: the dense tables are indexed by
         // block, and region count scales with block count.
         let block_count = program.blocks().len();
-        let (exec_preds, exit_edges, last_pred, runtime, retired) = scratch.prepare(block_count);
+        let ReplayScratch {
+            exec_preds,
+            exit_edges,
+            last_pred,
+            last_exit,
+            runtime,
+            retired,
+        } = scratch.prepare(block_count);
         Simulator {
             program,
             selector,
@@ -176,6 +194,7 @@ impl<'p> Simulator<'p> {
             last_pred,
             region_idx_hint: 0,
             exit_edges,
+            last_exit,
             retired,
             regions_selected: 0,
             insts_selected: 0,
@@ -407,6 +426,7 @@ impl<'p> Simulator<'p> {
         for set in &mut self.exit_edges {
             set.clear();
         }
+        self.last_exit.fill([NO_EXIT; 2]);
     }
 
     fn report_for(r: &Region, rt: RegionRuntime) -> RegionReport {
@@ -473,11 +493,10 @@ impl<'p> Simulator<'p> {
         if removed.is_empty() {
             return;
         }
-        let dead: FxHashSet<RegionId> = removed.iter().map(Region::id).collect();
         // The region being executed vanished: fall back to the
         // interpreter, landing as if through an exit stub.
         if let Mode::InCache { region, .. } = self.mode {
-            if dead.contains(&region) {
+            if self.cache.region_index(region).is_none() {
                 self.mode = Mode::Interp;
                 self.left_cache = true;
                 self.resilience.recovery_transitions += 1;
@@ -510,10 +529,22 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
-        // Exit bookkeeping must not name dead regions.
+        // Exit bookkeeping must not name dead regions (every region
+        // named before this removal was live).
+        let cache = &self.cache;
         for set in &mut self.exit_edges {
-            set.retain(|(rid, _)| !dead.contains(rid));
+            set.retain(|&(rid, _)| cache.region_index(rid).is_some());
         }
+    }
+
+    /// The region entered at `target`, program block `block_idx`: the
+    /// cache's block-indexed table, cross-checked against its address
+    /// map in debug builds.
+    #[inline]
+    fn entry_region(&self, block_idx: usize, target: Addr) -> Option<RegionId> {
+        let id = self.cache.lookup_block(block_idx);
+        debug_assert_eq!(id, self.cache.lookup(target), "entry table at {target}");
+        id
     }
 
     fn enter_region(&mut self, id: RegionId, target: Addr, len: u64) {
@@ -631,14 +662,19 @@ impl<'p> Simulator<'p> {
                             return;
                         }
                         TransferClass::Exit => {
-                            self.exit_edges[block_idx].insert((region, block));
-                            if let Some(r2) = self.cache.lookup(target) {
+                            let exit = (region, block);
+                            let memo = &mut self.last_exit[block_idx];
+                            if !memo.contains(&exit) {
+                                self.exit_edges[block_idx].insert(exit);
+                                *memo = [exit, memo[0]];
+                            }
+                            if let Some(r2) = self.entry_region(block_idx, target) {
                                 // Lazy linking: the exit stub jumps
                                 // straight to the other region — a
                                 // region transition.
                                 self.transitions += 1;
                                 self.cache.record_link(region, r2);
-                                let from = self.cache.region(region).cache_offset();
+                                let from = self.cache.regions()[i].cache_offset();
                                 let to = self.cache.region(r2).cache_offset();
                                 self.transition_distance_sum += from.abs_diff(to);
                                 if from / PAGE_BYTES != to / PAGE_BYTES {
@@ -675,7 +711,7 @@ impl<'p> Simulator<'p> {
                 }
                 // "At every interpreted taken branch, the system decides
                 // whether to switch ... to executing a region" (§2.1).
-                if let Some(rid) = self.cache.lookup(target) {
+                if let Some(rid) = self.entry_region(block_idx, target) {
                     self.enter_region(rid, target, len);
                     return;
                 }
@@ -695,7 +731,7 @@ impl<'p> Simulator<'p> {
                     // "jump newT" (Figure 5, line 15): a freshly
                     // selected region whose entry is this target is
                     // entered at once.
-                    if let Some(rid) = self.cache.lookup(target) {
+                    if let Some(rid) = self.entry_region(block_idx, target) {
                         self.enter_region(rid, target, len);
                         return;
                     }

@@ -38,7 +38,7 @@
 //! fast-forward is disabled outright while a fault injector is active:
 //! skipping steps would desynchronize the per-block fault schedule.
 
-use super::{Mode, RegionRuntime, Simulator};
+use super::{Mode, NO_EXIT, RegionRuntime, Simulator};
 use crate::cache::RegionId;
 use crate::fxhash::FxHashSet;
 use crate::metrics::report::{RegionReport, ResilienceStats};
@@ -55,48 +55,34 @@ use rsel_trace::DecodedStream;
 /// [`Simulator::new`].
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
-    exec_preds: Vec<FxHashSet<Addr>>,
-    exit_edges: Vec<FxHashSet<(RegionId, Addr)>>,
-    last_pred: Vec<[u64; 2]>,
-    runtime: Vec<RegionRuntime>,
-    retired: Vec<RegionReport>,
+    pub(super) exec_preds: Vec<FxHashSet<Addr>>,
+    pub(super) exit_edges: Vec<FxHashSet<(RegionId, Addr)>>,
+    pub(super) last_pred: Vec<[u64; 2]>,
+    pub(super) last_exit: Vec<[(RegionId, Addr); 2]>,
+    pub(super) runtime: Vec<RegionRuntime>,
+    pub(super) retired: Vec<RegionReport>,
 }
-
-/// The buffers of a [`ReplayScratch`], cleared and resized by
-/// [`ReplayScratch::prepare`], in field-declaration order.
-pub(super) type PreparedBuffers = (
-    Vec<FxHashSet<Addr>>,
-    Vec<FxHashSet<(RegionId, Addr)>>,
-    Vec<[u64; 2]>,
-    Vec<RegionRuntime>,
-    Vec<RegionReport>,
-);
 
 impl ReplayScratch {
     /// Clears and resizes the donated buffers for a program with
     /// `block_count` blocks, returning them ready for a fresh run.
-    pub(super) fn prepare(self, block_count: usize) -> PreparedBuffers {
-        let ReplayScratch {
-            mut exec_preds,
-            mut exit_edges,
-            mut last_pred,
-            mut runtime,
-            mut retired,
-        } = self;
-        for s in &mut exec_preds {
+    pub(super) fn prepare(mut self, block_count: usize) -> Self {
+        for s in &mut self.exec_preds {
             s.clear();
         }
-        exec_preds.resize(block_count, FxHashSet::default());
-        for s in &mut exit_edges {
+        self.exec_preds.resize(block_count, FxHashSet::default());
+        for s in &mut self.exit_edges {
             s.clear();
         }
-        exit_edges.resize(block_count, FxHashSet::default());
-        last_pred.clear();
-        last_pred.resize(block_count, [u64::MAX; 2]);
-        runtime.clear();
-        runtime.reserve(block_count);
-        retired.clear();
-        (exec_preds, exit_edges, last_pred, runtime, retired)
+        self.exit_edges.resize(block_count, FxHashSet::default());
+        self.last_pred.clear();
+        self.last_pred.resize(block_count, [u64::MAX; 2]);
+        self.last_exit.clear();
+        self.last_exit.resize(block_count, [NO_EXIT; 2]);
+        self.runtime.clear();
+        self.runtime.reserve(block_count);
+        self.retired.clear();
+        self
     }
 }
 
@@ -144,6 +130,7 @@ impl<'p> Simulator<'p> {
             exec_preds: self.exec_preds,
             exit_edges: self.exit_edges,
             last_pred: self.last_pred,
+            last_exit: self.last_exit,
             runtime: self.runtime,
             retired: self.retired,
         }

@@ -198,15 +198,12 @@ impl SharedCacheMap {
     }
 
     /// Barrier: drops a departing tenant's occupancy from every shard
-    /// (its regions are reclaimed when the session completes),
-    /// returning the bytes reclaimed.
-    pub fn clear_tenant(&mut self, tenant: u16) -> u64 {
-        let mut reclaimed = 0;
+    /// (its regions are reclaimed when the session completes).
+    pub fn clear_tenant(&mut self, tenant: u16) {
         for slot in &mut self.slots {
             let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
-            reclaimed += slot.bytes.remove(&tenant).unwrap_or(0);
+            slot.bytes.remove(&tenant);
         }
-        reclaimed
     }
 
     /// Current total occupancy across all shards.
@@ -283,7 +280,7 @@ mod tests {
         let mut map = SharedCacheMap::new(2, 1000);
         map.publish(0, &[(0, 30), (1, 40)]);
         assert_eq!(map.total_bytes(), 70);
-        assert_eq!(map.clear_tenant(0), 70);
+        map.clear_tenant(0);
         assert_eq!(map.total_bytes(), 0);
         assert_eq!(map.shard_load(0), vec![]);
     }
@@ -296,7 +293,9 @@ mod tests {
         map.publish(u16::MAX, &[(0, 5)]);
         map.publish(9_999, &[(0, 7)]);
         assert_eq!(map.shard_load(0), vec![(9_999, 7), (u16::MAX, 5)]);
-        assert_eq!(map.clear_tenant(u16::MAX), 5);
+        assert_eq!(map.total_bytes(), 12);
+        map.clear_tenant(u16::MAX);
+        assert_eq!(map.total_bytes(), 7, "the 5 bytes were reclaimed");
         assert_eq!(map.shard_load(0), vec![(9_999, 7)]);
     }
 }

@@ -1,13 +1,17 @@
 //! Property-based tests of the fault-injection layer: under arbitrary
 //! seeded fault schedules, every selector must degrade gracefully —
 //! no panics, no dangling cache links, balanced accounting, and fully
-//! deterministic reports.
+//! deterministic reports. A last property checks the code cache's
+//! dense id, entry-block and link-memo tables against a plain model
+//! under the removal operations fault recovery performs.
 
 use proptest::prelude::*;
 use regionsel::core::select::SelectorKind;
-use regionsel::core::{FaultConfig, ResilienceStats, RunReport, SimConfig, Simulator};
+use regionsel::core::{
+    CodeCache, FaultConfig, Region, RegionId, ResilienceStats, RunReport, SimConfig, Simulator,
+};
 use regionsel::program::patterns::ScenarioBuilder;
-use regionsel::program::{BehaviorSpec, Executor, Program};
+use regionsel::program::{Addr, BehaviorSpec, Executor, Program, ProgramBuilder};
 
 /// A small terminating scenario with enough structure to exercise
 /// multi-region selection: a driver loop calling a low-address leaf,
@@ -168,5 +172,165 @@ proptest! {
         prop_assert_eq!(&a.resilience, &ResilienceStats::default());
         prop_assert_eq!(a.hit_rate_under_faults(), None);
         prop_assert_eq!(a, b);
+    }
+}
+
+/// `FUNCS` two-block leaf functions spaced 0x180 bytes apart, so entry
+/// block indices and addresses both vary and invalidations straddle
+/// regions at irregular offsets.
+fn cache_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    for i in 0..FUNCS {
+        let f = b.function(&format!("f{i}"), 0x1000 + (i as u64) * 0x180);
+        let head = b.block_with(f, 2);
+        let tail = b.block_with(f, 1);
+        b.cond_branch(head, tail);
+        b.ret(tail);
+    }
+    b.build().expect("disjoint leaf functions are well-formed")
+}
+
+const FUNCS: usize = 24;
+const BLOCKS: usize = 2 * FUNCS;
+const LO: u64 = 0x1000;
+const HI: u64 = LO + (FUNCS as u64) * 0x180 + 0x200;
+
+#[derive(Clone, Debug)]
+enum CacheOp {
+    /// Insert the trace `[block a, block b]` (`[a]` when equal),
+    /// skipped if block `a` already starts a live region.
+    Insert(usize, usize),
+    /// Invalidate `[lo, lo + span)`.
+    Invalidate(u64, u64),
+    /// Evict the `count` oldest regions.
+    Evict(usize),
+    /// Remove ids picked from every id handed out so far (live, dead
+    /// or flushed alike), repeats allowed.
+    Remove(Vec<usize>),
+    /// Record a link between two live regions, picked by position.
+    Link(usize, usize),
+    /// Record a link between two ids handed out so far (live, dead or
+    /// flushed alike).
+    LinkAny(usize, usize),
+    /// Drop everything.
+    Flush,
+}
+
+fn cache_op() -> impl Strategy<Value = CacheOp> {
+    // The vendored `prop_oneof!` is unweighted; inserts and live links
+    // are listed twice to bias toward a populated, linked cache. Live
+    // picks use small positions, so the same pair recurs, also across
+    // a flush that hands the same raw ids out again.
+    prop_oneof![
+        (0usize..BLOCKS, 0usize..BLOCKS).prop_map(|(a, b)| CacheOp::Insert(a, b)),
+        (0usize..BLOCKS, 0usize..BLOCKS).prop_map(|(a, b)| CacheOp::Insert(a, b)),
+        (LO..HI, 1u64..768).prop_map(|(lo, span)| CacheOp::Invalidate(lo, span)),
+        (1usize..4).prop_map(CacheOp::Evict),
+        prop::collection::vec(0usize..64, 1..4).prop_map(CacheOp::Remove),
+        (0usize..3, 0usize..3).prop_map(|(a, b)| CacheOp::Link(a, b)),
+        (0usize..3, 0usize..3).prop_map(|(a, b)| CacheOp::Link(a, b)),
+        (0usize..64, 0usize..64).prop_map(|(a, b)| CacheOp::LinkAny(a, b)),
+        Just(CacheOp::Flush),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// After every insert, invalidation, eviction, removal, link and
+    /// flush: the dense id index agrees with a linear scan of the live
+    /// regions, dead and flushed ids resolve to nothing, the
+    /// block-indexed entry lookup agrees with the address lookup, and
+    /// the memoized link set equals a model that records every link.
+    #[test]
+    fn dense_cache_tables_match_a_linear_scan(
+        ops in prop::collection::vec(cache_op(), 1..80)
+    ) {
+        let p = cache_program();
+        let mut cache = CodeCache::new();
+        // Every id ever handed out, across flushes.
+        let mut issued: Vec<RegionId> = Vec::new();
+        // This generation's ids by raw index: the live region's entry,
+        // or `None` once removed.
+        let mut model: Vec<Option<Addr>> = Vec::new();
+        let mut links: Vec<(RegionId, RegionId)> = Vec::new();
+        let pick = |issued: &[RegionId], k: usize| issued.get(k % issued.len().max(1)).copied();
+        for op in ops {
+            let removed: Vec<Region> = match op {
+                CacheOp::Insert(a, b) => {
+                    let (ea, eb) = (p.blocks()[a].start(), p.blocks()[b].start());
+                    if !cache.contains(ea) {
+                        let path = if a == b { vec![ea] } else { vec![ea, eb] };
+                        let id = cache.insert(Region::trace(&p, &path));
+                        prop_assert_eq!(id.index(), model.len(), "ids are dense");
+                        model.push(Some(ea));
+                        issued.push(id);
+                    }
+                    Vec::new()
+                }
+                CacheOp::Invalidate(lo, span) => {
+                    cache.invalidate_range(Addr::new(lo), Addr::new(lo + span)).removed
+                }
+                CacheOp::Evict(count) => cache.evict_oldest(count).removed,
+                CacheOp::Remove(picks) => {
+                    let ids: Vec<RegionId> =
+                        picks.iter().filter_map(|&k| pick(&issued, k)).collect();
+                    cache.remove_regions(&ids).removed
+                }
+                CacheOp::Link(a, b) | CacheOp::LinkAny(a, b) => {
+                    let ids: Vec<RegionId> = match op {
+                        CacheOp::Link(..) => cache.regions().iter().map(Region::id).collect(),
+                        _ => issued.clone(),
+                    };
+                    if let (Some(from), Some(to)) = (pick(&ids, a), pick(&ids, b)) {
+                        cache.record_link(from, to);
+                        let live = |id: RegionId| {
+                            model.get(id.index()).is_some_and(Option::is_some)
+                        };
+                        if from != to && live(from) && live(to) && !links.contains(&(from, to)) {
+                            links.push((from, to));
+                        }
+                    }
+                    Vec::new()
+                }
+                CacheOp::Flush => {
+                    cache.flush();
+                    model.clear();
+                    links.clear();
+                    Vec::new()
+                }
+            };
+            for r in &removed {
+                prop_assert!(model[r.id().index()].take().is_some(), "removed twice");
+            }
+            links.retain(|&(f, t)| model[f.index()].is_some() && model[t.index()].is_some());
+
+            // The dense index against a linear scan.
+            for (i, r) in cache.regions().iter().enumerate() {
+                prop_assert_eq!(cache.region_index(r.id()), Some(i));
+                prop_assert_eq!(cache.try_region(r.id()).map(Region::entry).ok(), Some(r.entry()));
+                prop_assert_eq!(model[r.id().index()], Some(r.entry()));
+            }
+            let live = model.iter().filter(|e| e.is_some()).count();
+            prop_assert_eq!(live, cache.len());
+            // Dead and flushed ids resolve to nothing (a flushed id may
+            // only come back by being issued again).
+            for &id in &issued {
+                if model.get(id.index()).is_none_or(Option::is_none) {
+                    prop_assert_eq!(cache.region_index(id), None);
+                    prop_assert!(cache.try_region(id).is_err());
+                }
+            }
+            // The block-indexed entry table against the address map.
+            for b in p.blocks() {
+                prop_assert_eq!(cache.lookup_block(b.id().index()), cache.lookup(b.start()));
+            }
+            // The memo never hides a link nor keeps a dead one.
+            let mut got: Vec<(RegionId, RegionId)> = cache.links().collect();
+            got.sort_unstable();
+            let mut want = links.clone();
+            want.sort_unstable();
+            prop_assert_eq!(got, want);
+        }
     }
 }
