@@ -18,6 +18,7 @@
 pub mod faults;
 mod replay;
 
+use replay::FfBuffers;
 pub use replay::ReplayScratch;
 
 use crate::cache::{CodeCache, Region, RegionId, TransferClass};
@@ -137,6 +138,8 @@ pub struct Simulator<'p> {
     // drain — the runtime's per-epoch resilience feed.
     invalidation_log: Vec<Addr>,
     resilience: ResilienceStats,
+    // The spin fast-forward's working buffers (see `replay`).
+    ff: FfBuffers,
 }
 
 impl<'p> Simulator<'p> {
@@ -174,6 +177,7 @@ impl<'p> Simulator<'p> {
             last_exit,
             runtime,
             retired,
+            ff,
         } = scratch.prepare(block_count);
         Simulator {
             program,
@@ -206,6 +210,7 @@ impl<'p> Simulator<'p> {
             invalidated_entries: FxHashSet::default(),
             invalidation_log: Vec::new(),
             resilience: ResilienceStats::default(),
+            ff,
         }
     }
 

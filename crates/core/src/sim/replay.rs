@@ -61,6 +61,23 @@ pub struct ReplayScratch {
     pub(super) last_exit: Vec<[(RegionId, Addr); 2]>,
     pub(super) runtime: Vec<RegionRuntime>,
     pub(super) retired: Vec<RegionReport>,
+    pub(super) ff: FfBuffers,
+}
+
+/// The spin fast-forward's working buffers, reused by every phase
+/// attempt so that an attempt allocates nothing once they have grown.
+#[derive(Debug, Default)]
+pub(super) struct FfBuffers {
+    /// Regions the warm-up period visited, ascending.
+    warm: Vec<usize>,
+    /// Regions the verify period visited, ascending.
+    verify: Vec<usize>,
+    /// Pre-verify runtime rows of the `warm` regions: `(region index,
+    /// value)`, ascending.
+    rows: Vec<(usize, RegionRuntime)>,
+    /// `(region index, per-period delta)` for every region a verified
+    /// period touched.
+    deltas: Vec<(usize, RegionRuntime)>,
 }
 
 impl ReplayScratch {
@@ -104,22 +121,17 @@ struct FfSnapshot {
     left_cache: bool,
     prev_block: Option<Addr>,
     runtime_len: usize,
-    /// Pre-period runtime rows of the regions the warm-up period
-    /// visited: `(region index, value)`, ascending.
-    runtime: Vec<(usize, RegionRuntime)>,
     resilience: ResilienceStats,
 }
 
 /// Per-period deltas of a verified spin period, applied
-/// multiplicatively for the skipped repetitions.
+/// multiplicatively for the skipped repetitions (the runtime rows'
+/// deltas are in [`FfBuffers::deltas`]).
 struct FfDelta {
     insts: u64,
     transitions: u64,
     distance: u64,
     page_crossings: u64,
-    /// `(region index, per-period delta)` for every region the period
-    /// touched.
-    runtime: Vec<(usize, RegionRuntime)>,
 }
 
 impl<'p> Simulator<'p> {
@@ -133,6 +145,7 @@ impl<'p> Simulator<'p> {
             last_exit: self.last_exit,
             runtime: self.runtime,
             retired: self.retired,
+            ff: self.ff,
         }
     }
 
@@ -246,58 +259,68 @@ impl<'p> Simulator<'p> {
         period: usize,
         phase_end: usize,
     ) -> usize {
+        let mut b = std::mem::take(&mut self.ff);
         let mut i = start;
-        let mut warm_touched: Vec<usize> = Vec::with_capacity(period + 1);
-        let mut verify_touched: Vec<usize> = Vec::with_capacity(period + 1);
+        let mut resume = None;
         while i + 3 * period <= phase_end {
             // Warm-up period (or the previous failed verify): note
             // every region the loop visits, so the snapshot covers
             // exactly the runtime rows the next period can touch.
-            warm_touched.clear();
-            for k in i..i + period {
-                self.exec_decoded(stream, k);
-                if let Mode::InCache { region, .. } = self.mode {
-                    warm_touched.push(region.index());
-                }
-            }
+            self.exec_period(stream, i, period, &mut b.warm);
             i += period;
-            warm_touched.sort_unstable();
-            warm_touched.dedup();
-            let snap = self.ff_snapshot(&warm_touched);
-            // Verify period.
-            verify_touched.clear();
-            for k in i..i + period {
-                self.exec_decoded(stream, k);
-                if let Mode::InCache { region, .. } = self.mode {
-                    verify_touched.push(region.index());
-                }
-            }
+            let snap = self.ff_snapshot(&b.warm, &mut b.rows);
+            self.exec_period(stream, i, period, &mut b.verify);
             i += period;
             // A runtime row can only change on the region that was
             // current at a step boundary; every boundary region of the
             // verify period must therefore be in the snapshot (the
             // boundary before its first step is the warm period's last
             // push).
-            verify_touched.sort_unstable();
-            verify_touched.dedup();
-            let covered = verify_touched
-                .iter()
-                .all(|r| warm_touched.binary_search(r).is_ok());
+            let covered = b.verify.iter().all(|r| b.warm.binary_search(r).is_ok());
             if !covered {
                 continue;
             }
-            if let Some(delta) = self.ff_delta(&snap) {
+            if let Some(delta) = self.ff_delta(&snap, &b.rows, &mut b.deltas) {
                 let skip = (phase_end - i) / period;
-                self.ff_apply(&delta, skip as u64);
-                return i + skip * period;
+                self.ff_apply(&delta, &b.deltas, skip as u64);
+                resume = Some(i + skip * period);
+                break;
             }
         }
-        i
+        self.ff = b;
+        resume.unwrap_or(i)
     }
 
-    /// Snapshots the guarded counters plus the runtime rows of
-    /// `touched` (ascending region indices).
-    fn ff_snapshot(&self, touched: &[usize]) -> FfSnapshot {
+    /// Executes steps `[from, from + period)`, collecting into
+    /// `touched` (ascending, deduplicated) every region the loop was in
+    /// after a step.
+    fn exec_period(
+        &mut self,
+        stream: &DecodedStream,
+        from: usize,
+        period: usize,
+        touched: &mut Vec<usize>,
+    ) {
+        touched.clear();
+        for k in from..from + period {
+            self.exec_decoded(stream, k);
+            if let Mode::InCache { region, .. } = self.mode {
+                touched.push(region.index());
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+    }
+
+    /// Snapshots the guarded counters, and the runtime rows of
+    /// `touched` (ascending region indices) into `rows`.
+    fn ff_snapshot(&self, touched: &[usize], rows: &mut Vec<(usize, RegionRuntime)>) -> FfSnapshot {
+        rows.clear();
+        rows.extend(
+            touched
+                .iter()
+                .map(|&r| (r, self.runtime.get(r).copied().unwrap_or_default())),
+        );
         FfSnapshot {
             total_insts: self.total_insts,
             cache_insts: self.cache_insts,
@@ -314,19 +337,21 @@ impl<'p> Simulator<'p> {
             left_cache: self.left_cache,
             prev_block: self.prev_block,
             runtime_len: self.runtime.len(),
-            runtime: touched
-                .iter()
-                .map(|&r| (r, self.runtime.get(r).copied().unwrap_or_default()))
-                .collect(),
             resilience: self.resilience.clone(),
         }
     }
 
-    /// Checks the fast-forward guards against the snapshot taken one
-    /// period ago and, when every guard holds, returns the verified
-    /// per-period deltas. `None` means the period was not pure-counter
-    /// and the phase must keep stepping.
-    fn ff_delta(&self, s: &FfSnapshot) -> Option<FfDelta> {
+    /// Checks the fast-forward guards against the snapshot (and its
+    /// runtime `rows`) taken one period ago and, when every guard
+    /// holds, returns the verified per-period deltas, with the runtime
+    /// rows' deltas written to `deltas`. `None` means the period was
+    /// not pure-counter and the phase must keep stepping.
+    fn ff_delta(
+        &self,
+        s: &FfSnapshot,
+        rows: &[(usize, RegionRuntime)],
+        deltas: &mut Vec<(usize, RegionRuntime)>,
+    ) -> Option<FfDelta> {
         let insts = self.total_insts - s.total_insts;
         let all_cached = self.cache_insts - s.cache_insts == insts;
         if !all_cached
@@ -344,38 +369,34 @@ impl<'p> Simulator<'p> {
         {
             return None;
         }
-        let runtime = s
-            .runtime
-            .iter()
-            .filter_map(|&(i, then)| {
-                let now = self.runtime.get(i).copied().unwrap_or_default();
-                (now != then).then_some((
-                    i,
-                    RegionRuntime {
-                        executions: now.executions - then.executions,
-                        cycle_ends: now.cycle_ends - then.cycle_ends,
-                        insts_executed: now.insts_executed - then.insts_executed,
-                    },
-                ))
-            })
-            .collect();
+        deltas.clear();
+        deltas.extend(rows.iter().filter_map(|&(i, then)| {
+            let now = self.runtime.get(i).copied().unwrap_or_default();
+            (now != then).then_some((
+                i,
+                RegionRuntime {
+                    executions: now.executions - then.executions,
+                    cycle_ends: now.cycle_ends - then.cycle_ends,
+                    insts_executed: now.insts_executed - then.insts_executed,
+                },
+            ))
+        }));
         Some(FfDelta {
             insts,
             transitions: self.transitions - s.transitions,
             distance: self.transition_distance_sum - s.transition_distance_sum,
             page_crossings: self.transition_page_crossings - s.transition_page_crossings,
-            runtime,
         })
     }
 
     /// Applies `periods` repetitions of a verified period's deltas.
-    fn ff_apply(&mut self, d: &FfDelta, periods: u64) {
+    fn ff_apply(&mut self, d: &FfDelta, deltas: &[(usize, RegionRuntime)], periods: u64) {
         self.total_insts += d.insts * periods;
         self.cache_insts += d.insts * periods;
         self.transitions += d.transitions * periods;
         self.transition_distance_sum += d.distance * periods;
         self.transition_page_crossings += d.page_crossings * periods;
-        for &(i, dd) in &d.runtime {
+        for &(i, dd) in deltas {
             let rt = &mut self.runtime[i];
             rt.executions += dd.executions * periods;
             rt.cycle_ends += dd.cycle_ends * periods;

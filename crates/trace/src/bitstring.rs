@@ -40,9 +40,20 @@ impl BitString {
     /// Panics if `n > 64`.
     pub fn push_bits(&mut self, value: u64, n: u32) {
         assert!(n <= 64, "cannot push more than 64 bits at once");
-        for i in (0..n).rev() {
-            let bit = (value >> i) & 1 == 1;
-            self.push_bit(bit);
+        // Fill the last byte's free low bits, then whole bytes, from the
+        // most significant of the `left` bits still to write.
+        let mut left = n;
+        while left > 0 {
+            let used = (self.bit_len % 8) as u32;
+            if used == 0 {
+                self.bytes.push(0);
+            }
+            let take = (8 - used).min(left);
+            let chunk = (value >> (left - take)) & ((1 << take) - 1);
+            *self.bytes.last_mut().expect("a byte holds the free bits") |=
+                (chunk as u8) << (8 - used - take);
+            self.bit_len += take as usize;
+            left -= take;
         }
     }
 
@@ -228,6 +239,33 @@ mod tests {
         let mut b = BitString::new();
         b.push_bits(0b1010, 4);
         assert_eq!(format!("{b:?}"), "BitString[4 bits: 1010]");
+    }
+
+    #[test]
+    fn push_bits_packs_like_single_bits() {
+        // Every width at every starting bit offset, including pushes
+        // that fill a partial byte exactly or span several bytes.
+        let value = 0x8f3a_5c61_d2e7_b409_u64;
+        for offset in 0..8u32 {
+            for n in 0..=64u32 {
+                let mut whole = BitString::new();
+                let mut single = BitString::new();
+                for k in 0..offset {
+                    whole.push_bit(k % 2 == 0);
+                    single.push_bit(k % 2 == 0);
+                }
+                whole.push_bits(value, n);
+                for i in (0..n).rev() {
+                    single.push_bit((value >> i) & 1 == 1);
+                }
+                whole.push_bits(0b101, 3);
+                single.push_bit(true);
+                single.push_bit(false);
+                single.push_bit(true);
+                assert_eq!(whole, single, "offset {offset}, {n} bits");
+                assert_eq!(whole.bytes.len(), whole.byte_len());
+            }
+        }
     }
 
     #[test]
