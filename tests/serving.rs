@@ -159,3 +159,105 @@ fn overload_shedding_is_pinned() {
     });
     assert!(out.report.queue.shed_arrivals > 0);
 }
+
+/// The churn schedule the lifecycle scenarios below share: staggered
+/// arrivals, up to two disconnects and even odds of one crash.
+fn lifecycle_churn() -> ChurnConfig {
+    ChurnConfig {
+        seed: SEED,
+        arrival_spread: 4,
+        max_disconnects: 2,
+        max_gap: 3,
+        crash_percent: 50,
+    }
+}
+
+#[test]
+fn zero_capacity_shedding_under_churn_is_pinned() {
+    let specs = population(8);
+    let config = ServeConfig {
+        max_active: 2,
+        queue_capacity: 0,
+        admission_timeout: 2,
+        churn: lifecycle_churn(),
+        checkpoint_every: 2,
+        ..ServeConfig::default()
+    };
+    let out = check("zero-capacity churn", 0xbae7e585ba3185ba, |jobs| {
+        serve(&specs, &config, jobs).unwrap()
+    });
+    assert!(out.report.queue.shed_arrivals > 0, "the timeout must shed");
+    assert!(out.report.reconnects() > 0, "churn must reconnect somebody");
+    assert_eq!(out.report.queue.peak_queue_depth, 0, "nothing is buffered");
+}
+
+#[test]
+fn permanent_quarantine_under_churn_is_pinned() {
+    let specs = population(6);
+    let config = ServeConfig {
+        chaos: ChaosConfig {
+            poison_tenant: Some(1),
+            poison_epoch: 2,
+        },
+        churn: lifecycle_churn(),
+        checkpoint_every: 2,
+        ..adaptive()
+    };
+    let out = check("poison under churn", 0x10e0512cc3ab0814, |jobs| {
+        serve(&specs, &config, jobs).unwrap()
+    });
+    assert_eq!(out.report.quarantined_tenants(), 1);
+    assert!(out.report.tenants[1].quarantined);
+    assert_eq!(
+        out.report.quarantine_retries(),
+        0,
+        "a zero penalty never retries"
+    );
+    assert!(out.report.reconnects() > 0, "churn must reconnect somebody");
+}
+
+#[test]
+fn cold_reconnects_are_pinned() {
+    let specs = population(8);
+    let warm_config = ServeConfig {
+        churn: lifecycle_churn(),
+        checkpoint_every: 2,
+        ..adaptive()
+    };
+    let config = ServeConfig {
+        reconnect_cold: true,
+        ..warm_config.clone()
+    };
+    let out = check("cold reconnects", 0xc884460bba23bb7f, |jobs| {
+        serve(&specs, &config, jobs).unwrap()
+    });
+    assert!(out.report.reconnects() > 0 && out.report.checkpoints_taken() > 0);
+    // Cold reconnects drop the checkpointed cache, so the outcome must
+    // differ from the same schedule reconnecting warm.
+    let warm = serve(&specs, &warm_config, 1).unwrap();
+    assert_ne!(out.report.to_json(), warm.report.to_json());
+}
+
+#[test]
+fn poison_retry_under_churn_crashes_is_pinned() {
+    let specs = population(6);
+    let config = ServeConfig {
+        chaos: ChaosConfig {
+            poison_tenant: Some(1),
+            poison_epoch: 2,
+        },
+        quarantine_penalty: 3,
+        churn: ChurnConfig {
+            crash_percent: 100,
+            ..lifecycle_churn()
+        },
+        checkpoint_every: 2,
+        ..adaptive()
+    };
+    let out = check("poison retry under crashes", 0x9152869a48713077, |jobs| {
+        serve(&specs, &config, jobs).unwrap()
+    });
+    assert_eq!(out.report.quarantine_retries(), 1);
+    assert_eq!(out.report.quarantined_tenants(), 0, "the retry saved it");
+    assert!(out.report.crashes() > 0 && out.report.checkpoints_taken() > 0);
+}
