@@ -31,8 +31,8 @@
 //!   the score collapses (a phase shift).
 //! - [`serve`](mod@serve) — the **session scheduler**, entered through
 //!   [`serve()`] (cold) or [`serve_warm`] (from a [`WarmStart`]). Each
-//!   round runs the same ordered phases: arrivals join the pending
-//!   line; admission fills a bounded queue that feeds up to
+//!   round runs the same ordered phases: arrivals join the waiting
+//!   line; admission draws on a bounded queue that feeds up to
 //!   `max_active` concurrent sessions (shedding arrivals stuck past an
 //!   admission timeout); one epoch of every active session runs across
 //!   `jobs` worker threads inside a panic boundary; then a serial

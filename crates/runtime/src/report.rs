@@ -43,7 +43,7 @@ pub struct QueueStats {
     /// backpressure the bounded queue exerts on arrivals.
     pub deferred_tenant_rounds: u64,
     /// Arrivals shed under overload: a tenant that waited past the
-    /// admission timeout is pushed back out of the pending set and
+    /// admission timeout is pushed back out of the waiting line and
     /// told to retry after an exponential backoff.
     pub shed_arrivals: u64,
     /// Log2 histogram of rounds waited from (re)arrival to admission,

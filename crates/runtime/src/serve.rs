@@ -4,23 +4,28 @@
 //! [`serve`] (cold) and [`serve_warm`] (from a [`WarmStart`]) build a
 //! private `Scheduler` — validation, per-tenant setup, and the warm
 //! restore happen in `Scheduler::new` — and run it one round at a
-//! time until no tenant is owed service. Every round is the same
-//! ordered list of phases, one scheduler method each:
+//! time until no tenant is owed service.
 //!
-//! 1. **Arrivals** (`arrive`) — tenants due this round join the
-//!    pending line in tenant order: first arrivals (at round zero, or
-//!    staggered by a churn schedule), reconnects, quarantine retries,
-//!    and shed arrivals coming back.
-//! 2. **Admission** (`admit`) — the pending line fills a bounded queue
-//!    (`queue_capacity`), and the queue feeds up to `max_active`
-//!    concurrent sessions. A full queue defers arrivals — the
-//!    backpressure the [`QueueStats`] expose. A
-//!    zero-capacity queue means "no buffering": arrivals are admitted
-//!    directly up to `max_active` and the rest stay deferred. Under
+//! Every tenant is in exactly one `TenantState` — Scheduled (due to
+//! arrive at a round), Waiting (in the admission line), Active (holding
+//! a session slot), or terminally Finished or Quarantined — and
+//! `Scheduler::transition`, the only code that changes it, checks each
+//! change against the table of legal transitions in debug builds.
+//! Every round is the same ordered list of phases, one scheduler
+//! method each:
+//!
+//! 1. **Arrivals** (`arrive`) — every Scheduled tenant whose round has
+//!    come becomes Waiting, joining the back of the line in tenant
+//!    order.
+//! 2. **Admission** (`admit`) — the front of the queue becomes Active,
+//!    up to `max_active` concurrent sessions. Arrivals that do not fit
+//!    the queue are deferred — the backpressure the [`QueueStats`]
+//!    expose. A zero-capacity queue means "no buffering": the line is
+//!    admitted from directly and everyone in it is deferred. Under
 //!    sustained overload an optional admission timeout *sheds*
-//!    waiting arrivals: they are pushed back out and retry after an
-//!    exponential backoff, so the queue never silently grows a convoy.
-//! 3. **Epochs** (`run_epochs`) — one epoch of every active session,
+//!    deferred tenants: they go back to Scheduled and retry after an
+//!    exponential backoff, so the line never silently grows a convoy.
+//! 3. **Epochs** (`run_epochs`) — one epoch of every Active session,
 //!    fanned out over `jobs` scoped worker threads. Sessions only
 //!    touch their own simulator and publish commutative occupancy
 //!    updates to the shared map, so worker scheduling cannot affect
@@ -30,9 +35,10 @@
 //! 4. **Barrier** — with the workers joined, every cross-tenant
 //!    decision happens serially in tenant order:
 //!    1. `settle` counts each epoch and feeds the dip tracker, then
-//!       quarantines crashed sessions (taken out of rotation with
-//!       their partial metrics kept, or scheduled for their one cold
-//!       retry), retires finished ones, and applies churn events:
+//!       moves every tenant that ran out of Active where it must go:
+//!       a crashed session to Quarantined (its partial metrics kept)
+//!       or to Scheduled for its one cold retry; a finished one to
+//!       Finished; and one with a churn event due to Scheduled —
 //!       disconnects checkpoint first, crashes rewind to their last
 //!       checkpoint. Every departure releases the tenant's shard bytes
 //!       and store refs (`release`), and a torn-down session's
@@ -46,10 +52,10 @@
 //!       deduplicated entries instead, largest first.
 //!    3. `decide` feeds each epoch to its tenant's policy engine and
 //!       applies the selector switches it asks for.
-//!    4. `checkpoint_round` takes the periodic checkpoints that crash
-//!       recovery rewinds to.
+//!    4. `checkpoint_round` takes the periodic checkpoints of the
+//!       tenants still Active that crash recovery rewinds to.
 //!
-//! When the last tenant has finished (or been quarantined for good),
+//! When every tenant is Finished or Quarantined,
 //! `into_outcome` assembles the report, the per-tenant run reports,
 //! and the final snapshot.
 //!
@@ -83,6 +89,7 @@ use crate::snapshot::{
     ServeSnapshot, SnapshotError, TenantSnapshot, WarmStart, tenant_snapshot_bytes,
 };
 use crate::store::{RegionStore, StoreShardStats, debug_check_consistency};
+use TenantState::*;
 use rsel_core::{RegionId, SimConfig};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -181,9 +188,9 @@ pub struct ServeConfig {
     /// recovery rewinds to); zero checkpoints only at graceful
     /// disconnects.
     pub checkpoint_every: u64,
-    /// Rounds an arrival may wait in the deferred set before being
-    /// shed (pushed back with exponential backoff); zero disables
-    /// shedding.
+    /// Rounds an arrival may wait deferred behind the queue before
+    /// being shed (pushed back with exponential backoff); zero
+    /// disables shedding.
     pub admission_timeout: u64,
     /// Reconnect cold: a reconnecting tenant resumes its stream at
     /// the checkpoint position but with an *empty* cache and fresh
@@ -297,10 +304,27 @@ enum Outcome {
 /// The session in a tenant's slot. Poison-tolerant: a panicking epoch
 /// leaves the session at its last consistent assignment, and the
 /// barrier quarantines the tenant anyway.
-fn slot<'s, 'p>(
-    cell: &'s mut Mutex<Option<TenantSession<'p>>>,
-) -> &'s mut Option<TenantSession<'p>> {
+fn slot<'s, 'p>(cell: &'s mut Mutex<TenantSession<'p>>) -> &'s mut TenantSession<'p> {
     cell.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Folds a torn-down session's counters into its tenant's report row,
+/// and its SMC invalidations into the run's per-shard totals.
+fn fold_session(s: &mut TenantSummary, session: &TenantSession<'_>, shard_smc: &mut [u64]) {
+    let res = session.resilience();
+    s.total_insts += session.total_insts();
+    s.cache_insts += session.cache_insts();
+    s.insts_selected += session.insts_selected();
+    s.regions_selected += session.regions_selected();
+    s.smc_events += res.smc_events;
+    s.smc_invalidated += res.invalidated_regions;
+    s.pressure_evicted += res.pressure_evicted_regions;
+    s.reformations += res.reformations;
+    s.blacklisted_targets += res.blacklisted_targets;
+    s.blacklist_hits += res.blacklist_hits;
+    for (s, &n) in session.smc_by_shard().iter().enumerate() {
+        shard_smc[s] += n;
+    }
 }
 
 /// Captures `session`'s persistent state as an `RSNP` tenant section.
@@ -334,21 +358,16 @@ struct Tenant<'p> {
     /// the features it was derived from are in the summary).
     policy: PolicyConfig,
     engine: PolicyEngine,
-    /// The live session; `None` while the tenant is away. Finished and
-    /// quarantined sessions stay for the final report. Only the worker
-    /// running the tenant's epoch locks it.
-    session: Mutex<Option<TenantSession<'p>>>,
+    /// The session the tenant runs on while Active, resumes on when
+    /// next admitted (opened as it left), or ended on, kept for the
+    /// final report. Only the worker running the tenant's epoch locks
+    /// it.
+    session: Mutex<TenantSession<'p>>,
     /// Last persisted state: what a crash rewinds to and a reconnect
     /// resumes from.
     checkpoint: Option<Checkpoint>,
     /// Churn events still to come, in lifetime-epoch order.
     events: VecDeque<LifecycleEvent>,
-    /// Round of the latest (re)arrival — the admission-latency clock.
-    /// Shed pushbacks do not reset it: a shed tenant's wait is honest
-    /// about the whole time since it first asked for service.
-    arrived_at: u64,
-    /// Rounds spent deferred since the last admission or shed.
-    waiting_rounds: u64,
     /// Rounds the next shed pushes the tenant back.
     backoff: u64,
     dips: DipTracker,
@@ -366,13 +385,14 @@ impl<'p> Tenant<'p> {
     /// Sets tenant `t` up: its fault seed, policy, lifecycle, engine,
     /// and first session — restored from `warm` when given, which
     /// doubles as the tenant's first checkpoint (a crash before any
-    /// new checkpoint recovers to it).
+    /// new checkpoint recovers to it). Also returns the round of its
+    /// first arrival.
     fn new(
         t: usize,
         spec: &'p TenantSpec,
         config: &ServeConfig,
         warm: Option<&TenantSnapshot>,
-    ) -> Result<Self, ServeError> {
+    ) -> Result<(Self, u64), ServeError> {
         let id = t as u16;
         // The fault schedule is seeded from the base seed and the id,
         // so it is a property of the tenant alone. With all fault
@@ -399,16 +419,14 @@ impl<'p> Tenant<'p> {
         // same traffic.
         let horizon = spec.len().div_ceil(config.epoch_len) as u64 + 1;
         let lifecycle = TenantLifecycle::generate(&config.churn, id, horizon);
-        Ok(Tenant {
+        let tenant = Tenant {
             spec,
             sim,
             policy,
             engine,
-            session: Mutex::new(Some(session)),
+            session: Mutex::new(session),
             checkpoint,
             events: lifecycle.events.into(),
-            arrived_at: lifecycle.arrival_round,
-            waiting_rounds: 0,
             backoff: 2,
             dips: DipTracker::default(),
             forgotten_switches: 0,
@@ -418,7 +436,8 @@ impl<'p> Tenant<'p> {
                 policy_features: features,
                 ..TenantSummary::default()
             },
-        })
+        };
+        Ok((tenant, lifecycle.arrival_round))
     }
 
     /// Counts an epoch; its deltas otherwise feed only the policy
@@ -431,30 +450,9 @@ impl<'p> Tenant<'p> {
         }
     }
 
-    /// Folds a torn-down session's counters in, and its SMC
-    /// invalidations into the run's per-shard totals.
-    fn fold_session(&mut self, session: &TenantSession<'_>, shard_smc: &mut [u64]) {
-        let (s, res) = (&mut self.summary, session.resilience());
-        s.total_insts += session.total_insts();
-        s.cache_insts += session.cache_insts();
-        s.insts_selected += session.insts_selected();
-        s.regions_selected += session.regions_selected();
-        s.smc_events += res.smc_events;
-        s.smc_invalidated += res.invalidated_regions;
-        s.pressure_evicted += res.pressure_evicted_regions;
-        s.reformations += res.reformations;
-        s.blacklisted_targets += res.blacklisted_targets;
-        s.blacklist_hits += res.blacklist_hits;
-        for (s, &n) in session.smc_by_shard().iter().enumerate() {
-            shard_smc[s] += n;
-        }
-    }
-
     /// Checkpoints the live session where its stream stands now.
     fn checkpoint(&mut self) {
-        let Some(session) = slot(&mut self.session).as_ref() else {
-            return;
-        };
+        let session = slot(&mut self.session);
         let snap = freeze_tenant(session, &self.engine);
         self.summary.checkpoints += 1;
         self.summary.checkpoint_bytes = tenant_snapshot_bytes(&snap);
@@ -477,11 +475,12 @@ impl<'p> Tenant<'p> {
             .unwrap_or_else(|| PolicyEngine::new(self.policy.clone()));
     }
 
-    /// The session a (re)admitted tenant runs on: warm from its
+    /// Tears the session down, folding its counters in, and opens the
+    /// one the tenant resumes on when next admitted: warm from its
     /// checkpoint and resumed at the checkpoint's stream position, or
     /// cold at that position under `reconnect_cold`; cold from the top
     /// without a checkpoint.
-    fn reopen(&self, t: usize, config: &ServeConfig) -> TenantSession<'p> {
+    fn reopen(&mut self, t: usize, config: &ServeConfig, shard_smc: &mut [u64]) {
         let (id, shards) = (t as u16, config.shard_count);
         let cp = self.checkpoint.as_ref();
         // A checkpoint captured from a live session always rebuilds;
@@ -494,8 +493,28 @@ impl<'p> Tenant<'p> {
             TenantSession::new(id, self.spec, self.engine.current(), &self.sim, shards)
         });
         session.seek(cp.map_or(0, |cp| cp.pos));
-        session
+        let old = std::mem::replace(slot(&mut self.session), session);
+        fold_session(&mut self.summary, &old, shard_smc);
     }
+}
+
+/// Where a tenant stands in its lifecycle; [`Scheduler::transition`]
+/// lists the legal moves between these.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum TenantState {
+    /// Due to (re)arrive at round `at`. `since` is the admission-latency
+    /// clock: the round it asked for service, which a shed keeps — a
+    /// shed tenant's wait is honest about the whole time.
+    Scheduled { at: u64, since: u64 },
+    /// In the waiting line since round `joined`. A tenant behind the
+    /// queue has been deferred every round since then.
+    Waiting { since: u64, joined: u64 },
+    /// Holds a session slot and runs an epoch every round.
+    Active,
+    /// Ran its whole stream.
+    Finished,
+    /// Taken out of rotation for good after its session panicked.
+    Quarantined,
 }
 
 /// One serving run's state, advanced one round at a time (see the
@@ -504,18 +523,18 @@ struct Scheduler<'a> {
     config: &'a ServeConfig,
     warm: Option<&'a WarmStart>,
     tenants: Vec<Tenant<'a>>,
+    /// Each tenant's lifecycle state; only [`Scheduler::transition`]
+    /// writes it.
+    states: Vec<TenantState>,
+    /// The Waiting tenants, first come first served. The first
+    /// `queue_capacity` are the bounded queue, the rest are deferred
+    /// behind it.
+    waiting: VecDeque<usize>,
     map: SharedCacheMap,
     /// Share mode: the content-addressed store dedups identical
     /// regions across tenants; absent, every tenant pays for its own
     /// copies.
     store: Option<RegionStore>,
-    /// Arrival book: round -> tenants (re)arriving at it.
-    due: BTreeMap<u64, Vec<usize>>,
-    /// Arrivals deferred behind the bounded queue, in arrival order.
-    pending: VecDeque<usize>,
-    queue: VecDeque<usize>,
-    /// Running sessions, ascending tenant order.
-    active: Vec<usize>,
     q: QueueStats,
     switches: Vec<SwitchRecord>,
     /// SMC invalidations per shard, folded from torn-down sessions.
@@ -526,8 +545,6 @@ struct Scheduler<'a> {
     /// the retry path untestable.
     poison_spent: bool,
     round: u64,
-    /// Tenants still owed service: neither finished nor quarantined.
-    live: usize,
 }
 
 impl<'a> Scheduler<'a> {
@@ -561,37 +578,66 @@ impl<'a> Scheduler<'a> {
             .into());
         }
         let mut tenants = Vec::with_capacity(specs.len());
-        let mut due: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        let mut states = Vec::with_capacity(specs.len());
         for (t, spec) in specs.iter().enumerate() {
-            let tenant = Tenant::new(t, spec, config, warm.and_then(|w| w.tenants[t].as_ref()))?;
-            due.entry(tenant.arrived_at).or_default().push(t);
+            let warm = warm.and_then(|w| w.tenants[t].as_ref());
+            let (tenant, at) = Tenant::new(t, spec, config, warm)?;
             tenants.push(tenant);
+            states.push(Scheduled { at, since: at });
         }
         Ok(Scheduler {
             config,
             warm,
             tenants,
+            states,
+            waiting: VecDeque::new(),
             map: SharedCacheMap::new(config.shard_count, config.shard_capacity),
             store: config.share.then(|| RegionStore::new(config.shard_count)),
-            due,
-            pending: VecDeque::new(),
-            queue: VecDeque::new(),
-            active: Vec::new(),
             q: QueueStats::default(),
             switches: Vec::new(),
             shard_smc: vec![0; config.shard_count],
             poison_spent: false,
             round: 0,
-            live: specs.len(),
         })
     }
 
-    /// Serves rounds until no tenant is owed service.
+    /// Serves rounds until every tenant is Finished or Quarantined.
     fn run(mut self, jobs: usize) -> ServeOutcome {
-        while self.live > 0 {
+        while self
+            .states
+            .iter()
+            .any(|s| !matches!(s, Finished | Quarantined))
+        {
             self.round(jobs);
         }
         self.into_outcome()
+    }
+
+    /// Moves tenant `t` to `to` — the only writer of tenant states.
+    /// Entering a terminal state closes the tenant's report row.
+    fn transition(&mut self, t: usize, to: TenantState) {
+        let from = self.states[t];
+        debug_assert!(
+            matches!(
+                (from, to),
+                (Scheduled { .. }, Waiting { .. })
+                    | (Waiting { .. }, Active | Scheduled { .. })
+                    | (Active, Finished | Scheduled { .. } | Quarantined)
+            ),
+            "tenant {t}: illegal lifecycle transition {from:?} -> {to:?}"
+        );
+        if matches!(to, Finished | Quarantined) {
+            let s = &mut self.tenants[t].summary;
+            (s.finished_round, s.quarantined) = (self.round, to == Quarantined);
+        }
+        self.states[t] = to;
+    }
+
+    /// The Active tenants, in tenant order.
+    fn active(&self) -> Vec<usize> {
+        (0..self.states.len())
+            .filter(|&t| self.states[t] == Active)
+            .collect()
     }
 
     /// One round: arrivals, admission, the parallel epochs, then the
@@ -599,12 +645,12 @@ impl<'a> Scheduler<'a> {
     fn round(&mut self, jobs: usize) {
         self.arrive();
         self.admit();
-        let outcomes = self.run_epochs(jobs);
+        let ran = self.active();
+        let outcomes = self.run_epochs(&ran, jobs);
         self.map.end_round();
         if let Some(store) = self.store.as_mut() {
             store.end_round();
         }
-        let ran = std::mem::take(&mut self.active);
         let deciders = self.settle(&ran, &outcomes);
         self.relieve_pressure();
         self.decide(&deciders);
@@ -621,69 +667,48 @@ impl<'a> Scheduler<'a> {
         self.round += 1;
     }
 
-    /// Moves every tenant due by this round onto the pending line, in
-    /// tenant order.
+    /// Every Scheduled tenant due by this round joins the back of the
+    /// waiting line, in tenant order.
     fn arrive(&mut self) {
-        let later = self.due.split_off(&(self.round + 1));
-        let mut arrivals: Vec<usize> = std::mem::replace(&mut self.due, later)
-            .into_values()
-            .flatten()
-            .collect();
-        arrivals.sort_unstable();
-        for t in arrivals {
-            if !self.tenants[t].summary.quarantined {
-                self.pending.push_back(t);
+        for t in 0..self.states.len() {
+            match self.states[t] {
+                Scheduled { at: joined, since } if joined <= self.round => {
+                    self.transition(t, Waiting { since, joined });
+                    self.waiting.push_back(t);
+                }
+                _ => {}
             }
         }
     }
 
-    /// Tops the bounded queue up from the pending line.
-    fn fill_queue(&mut self) {
-        let room = self.config.queue_capacity.saturating_sub(self.queue.len());
-        let n = room.min(self.pending.len());
-        self.queue.extend(self.pending.drain(..n));
-    }
-
-    /// Admits up to the active limit, sheds arrivals stuck past the
-    /// admission timeout, and samples the queue statistics.
+    /// Admits from the front of the queue up to the active limit, sheds
+    /// deferred tenants past the admission timeout, and samples the
+    /// queue statistics.
     fn admit(&mut self) {
-        let free = self.config.max_active - self.active.len();
-        let to_admit: Vec<usize> = if self.config.queue_capacity == 0 {
-            // A zero-capacity queue buffers nothing: arrivals are
-            // admitted directly up to the active limit. (Routing them
-            // through the queue would livelock — nothing could ever
-            // enter a queue that holds zero tenants.)
-            let n = free.min(self.pending.len());
-            self.pending.drain(..n).collect()
-        } else {
-            self.fill_queue();
-            let n = free.min(self.queue.len());
-            let admitted = self.queue.drain(..n).collect();
-            // Arrivals keep the bounded queue full while the round
-            // runs; whoever does not fit is deferred behind it
-            // (backpressure).
-            self.fill_queue();
-            admitted
-        };
-        let round = self.round;
-        for t in to_admit {
+        let (round, capacity) = (self.round, self.config.queue_capacity);
+        let active = self.states.iter().filter(|&&s| s == Active).count();
+        // Admission draws on the queue; a zero-capacity queue buffers
+        // nothing, so the whole line is admitted from directly.
+        let reach = if capacity == 0 { usize::MAX } else { capacity };
+        let admitted = (self.config.max_active - active)
+            .min(reach)
+            .min(self.waiting.len());
+        for t in self.waiting.drain(..admitted).collect::<Vec<_>>() {
+            let Waiting { since, .. } = self.states[t] else {
+                unreachable!("the waiting line holds only Waiting tenants");
+            };
+            self.transition(t, Active);
             let tenant = &mut self.tenants[t];
-            if slot(&mut tenant.session).is_none() {
-                let session = tenant.reopen(t, self.config);
-                *slot(&mut tenant.session) = Some(session);
-            }
             if self.config.chaos.poison_tenant == Some(t as u16) && !self.poison_spent {
                 // The pill fires at a *lifetime* epoch; a session that
                 // starts mid-life arms the remainder.
                 let epochs = tenant.summary.epochs;
                 let remaining = self.config.chaos.poison_epoch.saturating_sub(epochs);
-                if let Some(session) = slot(&mut tenant.session).as_mut() {
-                    session.poison_after(remaining);
-                }
+                slot(&mut tenant.session).poison_after(remaining);
             }
             // Reconnects and quarantine retries were counted when they
             // were booked; only a first admission records anything.
-            let wait = round - tenant.arrived_at;
+            let wait = round - since;
             let s = &mut tenant.summary;
             if !s.admitted {
                 (s.admitted, s.admitted_round, s.admission_wait) = (true, round, wait);
@@ -691,48 +716,46 @@ impl<'a> Scheduler<'a> {
             // Every admission (first, reconnect, retry) lands one
             // sample in the log2 wait histogram.
             self.q.admission_wait_hist[wait_bucket(wait)] += 1;
-            tenant.waiting_rounds = 0;
-            self.active.push(t);
             self.q.admissions += 1;
         }
-        // Overload shedding: arrivals stuck behind the queue past the
-        // timeout are pushed back out and retry after an exponential
-        // backoff, instead of convoying forever.
+        // Overload shedding: tenants deferred behind the queue past the
+        // timeout go back out and retry after an exponential backoff,
+        // instead of convoying forever. A tenant behind the queue has
+        // been deferred every round since it joined the line.
         let timeout = self.config.admission_timeout;
-        if timeout > 0 {
-            self.pending.retain(|&t| {
-                let tenant = &mut self.tenants[t];
-                tenant.waiting_rounds += 1;
-                if tenant.waiting_rounds < timeout {
-                    return true;
+        let queued = capacity.min(self.waiting.len());
+        let mut i = queued;
+        while let Some(&t) = self.waiting.get(i) {
+            match self.states[t] {
+                Waiting { since, joined } if timeout > 0 && round + 1 - joined >= timeout => {
+                    self.waiting.remove(i);
+                    // A shed tenant is still owed service, so its retry
+                    // always arrives before the run ends: count it now.
+                    self.q.shed_arrivals += 1;
+                    let tenant = &mut self.tenants[t];
+                    let at = round + tenant.backoff;
+                    tenant.backoff = (tenant.backoff * 2).min(64);
+                    self.transition(t, Scheduled { at, since });
                 }
-                // A shed tenant is still owed service, so its retry
-                // always arrives before the run ends: count it now.
-                self.q.shed_arrivals += 1;
-                tenant.waiting_rounds = 0;
-                self.due.entry(round + tenant.backoff).or_default().push(t);
-                tenant.backoff = (tenant.backoff * 2).min(64);
-                false
-            });
+                _ => i += 1,
+            }
         }
-        self.active.sort_unstable();
         let q = &mut self.q;
-        q.peak_active = q.peak_active.max(self.active.len() as u64);
-        q.peak_queue_depth = q.peak_queue_depth.max(self.queue.len() as u64);
-        q.queued_tenant_rounds += self.queue.len() as u64;
-        q.deferred_tenant_rounds += self.pending.len() as u64;
+        q.peak_active = q.peak_active.max((active + admitted) as u64);
+        q.peak_queue_depth = q.peak_queue_depth.max(queued as u64);
+        q.queued_tenant_rounds += queued as u64;
+        q.deferred_tenant_rounds += (self.waiting.len() - queued) as u64;
     }
 
-    /// Runs one epoch of every active session on up to `jobs` worker
-    /// threads, inside the failure domain: a panic (e.g. a poison
-    /// pill) or an already-poisoned lock yields `Crashed` for the
-    /// barrier to quarantine; nothing unwinds past here, on any
+    /// Runs one epoch of every session in `active` on up to `jobs`
+    /// worker threads, inside the failure domain: a panic (e.g. a
+    /// poison pill) or an already-poisoned lock yields `Crashed` for
+    /// the barrier to quarantine; nothing unwinds past here, on any
     /// worker. Outcomes come back in `active` order.
-    fn run_epochs(&self, jobs: usize) -> Vec<Outcome> {
+    fn run_epochs(&self, active: &[usize], jobs: usize) -> Vec<Outcome> {
         let run_one = |t: usize| -> Outcome {
             let ran = catch_unwind(AssertUnwindSafe(|| {
-                let mut guard = self.tenants[t].session.lock().ok()?;
-                let session = guard.as_mut()?;
+                let mut session = self.tenants[t].session.lock().ok()?;
                 let e = session.run_epoch(self.config.epoch_len);
                 match &self.store {
                     Some(store) => session.publish_shared(&self.map, store),
@@ -745,18 +768,17 @@ impl<'a> Scheduler<'a> {
                 _ => Outcome::Crashed,
             }
         };
-        if jobs <= 1 || self.active.len() <= 1 {
-            return self.active.iter().map(|&t| run_one(t)).collect();
+        if jobs <= 1 || active.len() <= 1 {
+            return active.iter().map(|&t| run_one(t)).collect();
         }
-        let slots: Vec<Mutex<Option<Outcome>>> =
-            self.active.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<Outcome>>> = active.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..jobs.min(self.active.len()) {
+            for _ in 0..jobs.min(active.len()) {
                 scope.spawn(|| {
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&t) = self.active.get(i) else { break };
+                        let Some(&t) = active.get(i) else { break };
                         let o = run_one(t);
                         *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(o);
                     }
@@ -773,10 +795,10 @@ impl<'a> Scheduler<'a> {
             .collect()
     }
 
-    /// Barrier: counts each epoch that ran, then quarantines, retires,
-    /// or churns every tenant that ran, and re-forms the active set
-    /// from the rest. Returns the epochs the policy engines decide on,
-    /// in tenant order: those of tenants still active, plus — under a
+    /// Barrier: counts each epoch that ran, then moves every tenant
+    /// that should not stay Active out — quarantined, finished, or
+    /// churned. Returns the epochs the policy engines decide on, in
+    /// tenant order: those of tenants still Active, plus — under a
     /// stream-adaptive policy — the final epoch of tenants that just
     /// finished (a short stream's last explore epoch is often its last
     /// epoch, and without that decision the engine would never reach
@@ -790,15 +812,11 @@ impl<'a> Scheduler<'a> {
             };
             let tenant = &mut self.tenants[t];
             tenant.fold_epoch(&e);
-            if slot(&mut tenant.session)
-                .as_ref()
-                .is_some_and(|s| s.finished())
-            {
+            if slot(&mut tenant.session).finished() {
                 // The session is kept for the final report and
                 // snapshot; only its shard bytes (and store refs) go.
-                tenant.summary.finished_round = self.round;
                 self.release(t);
-                self.live -= 1;
+                self.transition(t, Finished);
                 if self.config.policy.adaptive {
                     deciders.push((t, e));
                 }
@@ -810,10 +828,7 @@ impl<'a> Scheduler<'a> {
                 .filter(|ev| ev.at_epoch <= tenant.summary.epochs)
             {
                 Some(&ev) => self.depart(t, ev),
-                None => {
-                    self.active.push(t);
-                    deciders.push((t, e));
-                }
+                None => deciders.push((t, e)),
             }
         }
         deciders
@@ -836,14 +851,11 @@ impl<'a> Scheduler<'a> {
         if self.config.chaos.poison_tenant == Some(t as u16) {
             self.poison_spent = true;
         }
-        let round = self.round;
         let penalty = self.config.quarantine_penalty;
         let tenant = &mut self.tenants[t];
         tenant.session.clear_poison();
         if penalty == 0 || tenant.summary.quarantine_retries > 0 {
-            tenant.summary.quarantined = true;
-            tenant.summary.finished_round = round;
-            self.live -= 1;
+            self.transition(t, Quarantined);
             return;
         }
         // Retry: tear the defective session down entirely (its
@@ -851,13 +863,11 @@ impl<'a> Scheduler<'a> {
         // a fresh start, and re-admit cold after the penalty. A second
         // quarantine drops the tenant for good.
         tenant.summary.quarantine_retries += 1;
-        if let Some(session) = slot(&mut tenant.session).take() {
-            tenant.fold_session(&session, &mut self.shard_smc);
-        }
         tenant.checkpoint = None;
         tenant.rewind_engine();
-        tenant.arrived_at = round + penalty;
-        self.due.entry(tenant.arrived_at).or_default().push(t);
+        tenant.reopen(t, self.config, &mut self.shard_smc);
+        let at = self.round + penalty;
+        self.transition(t, Scheduled { at, since: at });
     }
 
     /// Applies tenant `t`'s due churn event: a graceful disconnect
@@ -881,14 +891,12 @@ impl<'a> Scheduler<'a> {
                 tenant.rewind_engine();
             }
         }
-        if let Some(session) = slot(&mut tenant.session).take() {
-            tenant.fold_session(&session, &mut self.shard_smc);
-        }
+        tenant.reopen(t, self.config, &mut self.shard_smc);
         // A departed tenant is still owed service, so it always
         // reconnects before the run ends: count the reconnect now.
         tenant.summary.reconnects += 1;
-        tenant.arrived_at = self.round + ev.gap;
-        self.due.entry(tenant.arrived_at).or_default().push(t);
+        let at = self.round + ev.gap;
+        self.transition(t, Scheduled { at, since: at });
     }
 
     /// Barrier: resolves every overflowing shard. In share mode the
@@ -914,9 +922,8 @@ impl<'a> Scheduler<'a> {
                 }
             }
             for (t, keys) in by_tenant {
-                let (evicted, left) = slot(&mut self.tenants[t as usize].session)
-                    .as_mut()
-                    .map_or((0, 0), |s| s.evict_shared(shard, &keys));
+                let (evicted, left) =
+                    slot(&mut self.tenants[t as usize].session).evict_shared(shard, &keys);
                 self.map.note_shed(shard, evicted);
                 self.map.set_load(shard, t, left);
             }
@@ -950,9 +957,7 @@ impl<'a> Scheduler<'a> {
             }
             let regs = remaining.entry(tv).or_insert_with(|| {
                 slot(&mut self.tenants[tv as usize].session)
-                    .as_ref()
-                    .map(|s| s.shard_regions(shard))
-                    .unwrap_or_default()
+                    .shard_regions(shard)
                     .into()
             });
             let plan = doomed.entry(tv).or_default();
@@ -974,9 +979,7 @@ impl<'a> Scheduler<'a> {
         for (t, bytes) in load {
             let Some(ids) = doomed.get(&t) else { continue };
             if !ids.is_empty() {
-                if let Some(session) = slot(&mut self.tenants[t as usize].session).as_mut() {
-                    session.evict_planned(shard, ids, bytes);
-                }
+                slot(&mut self.tenants[t as usize].session).evict_planned(shard, ids, bytes);
             }
             self.map.set_load(shard, t, bytes);
         }
@@ -990,17 +993,16 @@ impl<'a> Scheduler<'a> {
             let Some((kind, reason)) = tenant.engine.on_epoch(&e) else {
                 continue;
             };
-            if let Some(session) = slot(&mut tenant.session).as_mut() {
-                self.switches.push(SwitchRecord {
-                    tenant: t as u16,
-                    workload: session.workload(),
-                    epoch: tenant.summary.epochs,
-                    from: session.kind(),
-                    to: kind,
-                    reason,
-                });
-                session.switch_selector(kind, &tenant.sim);
-            }
+            let session = slot(&mut tenant.session);
+            self.switches.push(SwitchRecord {
+                tenant: t as u16,
+                workload: session.workload(),
+                epoch: tenant.summary.epochs,
+                from: session.kind(),
+                to: kind,
+                reason,
+            });
+            session.switch_selector(kind, &tenant.sim);
         }
     }
 
@@ -1010,7 +1012,7 @@ impl<'a> Scheduler<'a> {
     fn checkpoint_round(&mut self) {
         let every = self.config.checkpoint_every;
         if every > 0 && (self.round + 1).is_multiple_of(every) {
-            for &t in &self.active {
+            for t in self.active() {
                 self.tenants[t].checkpoint();
             }
         }
@@ -1025,19 +1027,12 @@ impl<'a> Scheduler<'a> {
         let mut snapshot_tenants = Vec::with_capacity(self.tenants.len());
         for (t, tenant) in self.tenants.iter_mut().enumerate() {
             let id = t as u16;
-            // Every tenant ends holding a session (finished and
-            // quarantined sessions are retained); materialize an empty
-            // one defensively if that invariant ever breaks.
-            let session = slot(&mut tenant.session).take().unwrap_or_else(|| {
-                TenantSession::new(
-                    id,
-                    tenant.spec,
-                    tenant.engine.current(),
-                    &tenant.sim,
-                    config.shard_count,
-                )
-            });
-            tenant.fold_session(&session, &mut self.shard_smc);
+            // Sessions are freed with the scheduler, after every report
+            // is built: freeing each one as soon as its report was done
+            // interleaved large frees with the reports' allocations and
+            // doubled the page faults of the next serve in the process.
+            let session = slot(&mut tenant.session);
+            fold_session(&mut tenant.summary, session, &mut self.shard_smc);
             // The engine is the authority on its own switch count; the
             // global log (plus any decisions a rewind forgot) must
             // agree with it.
@@ -1060,13 +1055,7 @@ impl<'a> Scheduler<'a> {
             summary.max_dip_recovery_epochs = dip.max_recovery_epochs;
             tenants.push(summary);
             run_reports.push(session.report());
-            snapshot_tenants.push(freeze_tenant(&session, &tenant.engine));
-            // Back into its slot: sessions are freed with the scheduler,
-            // after every report is built. Freeing each one as soon as
-            // its report was done interleaved large frees with the
-            // reports' allocations and doubled the page faults of the
-            // next serve in the same process.
-            *slot(&mut tenant.session) = Some(session);
+            snapshot_tenants.push(freeze_tenant(session, &tenant.engine));
         }
         let total_insts = tenants.iter().map(|t| t.total_insts).sum();
         let store_totals = self.store.as_ref().map(|s| s.totals()).unwrap_or_default();
