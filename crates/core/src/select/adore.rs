@@ -17,12 +17,12 @@
 //! four-branch path seen `adore_path_threshold` times is materialized
 //! into a trace with the shared FORM-TRACE walk.
 
-use super::lei::form_trace_from_branches;
+use super::lei::{TraceMarks, form_trace_from_branches};
 use super::{Arrival, RegionSelector};
 use crate::cache::{CodeCache, Region};
 use crate::config::SimConfig;
 use crate::fxhash::FxHashMap;
-use rsel_program::{Addr, Program};
+use rsel_program::{Addr, BlockId, Program};
 use rsel_trace::AddrWidth;
 use std::collections::VecDeque;
 
@@ -33,10 +33,13 @@ pub struct AdoreSelector<'p> {
     sample_period: u64,
     path_threshold: u32,
     width: AddrWidth,
-    recent: VecDeque<(Addr, Addr)>,
+    /// The four most recent taken branches, each with its target's
+    /// block.
+    recent: VecDeque<((Addr, Addr), BlockId)>,
     taken_seen: u64,
     path_counts: FxHashMap<[(Addr, Addr); 4], u32>,
     peak_paths: usize,
+    marks: TraceMarks,
 }
 
 impl<'p> AdoreSelector<'p> {
@@ -51,6 +54,7 @@ impl<'p> AdoreSelector<'p> {
             taken_seen: 0,
             path_counts: FxHashMap::default(),
             peak_paths: 0,
+            marks: TraceMarks::new(),
         }
     }
 }
@@ -64,18 +68,19 @@ impl RegionSelector for AdoreSelector<'_> {
         if self.recent.len() == 4 {
             self.recent.pop_front();
         }
-        self.recent.push_back((src, a.tgt));
+        self.recent.push_back(((src, a.tgt), a.tgt_block));
         self.taken_seen += 1;
         if !self.taken_seen.is_multiple_of(self.sample_period) || self.recent.len() < 4 {
             return Vec::new();
         }
         // PMU sample: the four most recently taken branches.
         let mut key = [(Addr::NULL, Addr::NULL); 4];
-        for (slot, &b) in key.iter_mut().zip(self.recent.iter()) {
+        for (slot, &(b, _)) in key.iter_mut().zip(self.recent.iter()) {
             *slot = b;
         }
-        let entry = key[0].1; // target of the oldest sampled branch
-        if cache.contains(entry) {
+        // The path starts at the target of the oldest sampled branch.
+        let entry = key[0].1;
+        if cache.lookup_block(self.recent[0].1.index()).is_some() {
             return Vec::new();
         }
         let c = self.path_counts.entry(key).or_insert(0);
@@ -88,8 +93,15 @@ impl RegionSelector for AdoreSelector<'_> {
         self.path_counts.remove(&key);
         // The path spans from the oldest branch's target across the
         // remaining three branches.
-        let tail: Vec<(Addr, Addr)> = key[1..].to_vec();
-        match form_trace_from_branches(self.program, cache, entry, &tail, self.width) {
+        let tail = key[1..].iter().copied();
+        match form_trace_from_branches(
+            self.program,
+            cache,
+            entry,
+            tail,
+            &mut self.marks,
+            self.width,
+        ) {
             Some(t) => vec![Region::trace(self.program, &t.blocks)],
             None => Vec::new(),
         }

@@ -12,7 +12,7 @@ use super::profile::{EdgeProfile, majority_walk};
 use super::{Arrival, RegionSelector};
 use crate::cache::{CodeCache, Region};
 use crate::config::SimConfig;
-use rsel_program::{Addr, Program};
+use rsel_program::{Addr, BlockId, Program};
 
 /// The BOA selector: continuous per-branch direction profiling plus a
 /// low (15) entry threshold, with traces built from the profile rather
@@ -34,8 +34,8 @@ impl<'p> BoaSelector<'p> {
             program,
             threshold: config.boa_threshold,
             max_trace_insts: config.max_trace_insts,
-            counters: CounterTable::new(),
-            profile: EdgeProfile::new(),
+            counters: CounterTable::new(program.blocks().len()),
+            profile: EdgeProfile::new(program.blocks().len()),
         }
     }
 }
@@ -44,13 +44,15 @@ impl RegionSelector for BoaSelector<'_> {
     fn on_transfer(
         &mut self,
         _cache: &CodeCache,
-        src: Addr,
+        _src: Addr,
+        src_block: BlockId,
         tgt: Addr,
+        _tgt_block: BlockId,
         taken: bool,
     ) -> Vec<Region> {
         // BOA's distinguishing feature: every emulated branch updates
         // the direction counts.
-        self.profile.record(self.program, src, tgt, taken);
+        self.profile.record(self.program, src_block, tgt, taken);
         Vec::new()
     }
 
@@ -60,16 +62,17 @@ impl RegionSelector for BoaSelector<'_> {
         if !(backward || a.from_cache_exit) {
             return Vec::new();
         }
-        let c = self.counters.increment(a.tgt);
+        let b = a.tgt_block.index();
+        let c = self.counters.increment(b);
         if c < self.threshold {
             return Vec::new();
         }
-        self.counters.recycle(a.tgt);
+        self.counters.recycle(b);
         let blocks = majority_walk(
             self.program,
             cache,
             &self.profile,
-            a.tgt,
+            a.tgt_block,
             self.max_trace_insts,
         );
         if blocks.is_empty() {
@@ -99,6 +102,7 @@ impl RegionSelector for BoaSelector<'_> {
 mod tests {
     use super::*;
     use crate::select::SelectorKind;
+    use crate::select::arrival;
     use crate::sim::Simulator;
     use rsel_program::patterns::ScenarioBuilder;
     use rsel_program::{Executor, ProgramBuilder};
@@ -122,22 +126,14 @@ mod tests {
         // The simulator's events for 2 taken and 3 not-taken
         // interpreted executions of A's branch, C never cached.
         for _ in 0..2 {
-            sel.on_transfer(&cache, src, tgt, true);
-            sel.on_arrival(
-                &cache,
-                Arrival {
-                    src: Some(src),
-                    tgt,
-                    taken: true,
-                    from_cache_exit: false,
-                },
-            );
+            sel.on_transfer(&cache, src, a, tgt, c, true);
+            sel.on_arrival(&cache, arrival(&p, Some(src), tgt, true, false));
         }
         for _ in 0..3 {
-            sel.on_transfer(&cache, src, fall, false);
+            sel.on_transfer(&cache, src, a, fall, bb, false);
         }
         assert_eq!(
-            sel.profile.majority_cond(src),
+            sel.profile.majority_cond(a.index()),
             Some(false),
             "taken 2 times in 5 is majority not-taken"
         );

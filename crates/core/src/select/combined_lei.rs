@@ -1,6 +1,6 @@
 //! Trace combination over LEI (paper §4, "combined LEI").
 
-use super::lei::{CycleDetector, form_lei_trace};
+use super::lei::{CycleDetector, TraceMarks, form_lei_trace};
 use super::observe::ObservationStore;
 use super::region_cfg::combine_traces;
 use super::{Arrival, RegionSelector};
@@ -27,6 +27,7 @@ pub struct CombinedLeiSelector<'p> {
     t_min: u32,
     width: AddrWidth,
     cycles: CycleDetector,
+    marks: TraceMarks,
     store: ObservationStore,
 }
 
@@ -39,7 +40,8 @@ impl<'p> CombinedLeiSelector<'p> {
             t_prof: config.t_prof,
             t_min: config.t_min,
             width: config.addr_width,
-            cycles: CycleDetector::new(config.history_size),
+            cycles: CycleDetector::new(config.history_size, program.blocks().len()),
+            marks: TraceMarks::new(),
             store: ObservationStore::new(),
         }
     }
@@ -59,14 +61,23 @@ impl RegionSelector for CombinedLeiSelector<'_> {
         // Observe the just-executed cycle (Figure 13, line 8: "form a
         // trace t beginning at dest; store COMPACT-TRACE(t)").
         let buf = self.cycles.history();
-        if let Some(t) = form_lei_trace(self.program, cache, buf, a.tgt, old_seq, self.width) {
+        let formed = form_lei_trace(
+            self.program,
+            cache,
+            buf,
+            a.tgt,
+            old_seq,
+            &mut self.marks,
+            self.width,
+        );
+        if let Some(t) = formed {
             self.store.add(self.program, a.tgt, t.blocks, &t.compact);
         }
         if c < self.t_start + self.t_prof {
             return Vec::new();
         }
         // Final observation: combine.
-        for gone in self.cycles.complete(a.tgt, old_seq) {
+        for gone in self.cycles.complete(a.tgt_block, old_seq) {
             let _ = self.store.take(gone);
         }
         let paths = self.store.take(a.tgt);
@@ -104,6 +115,7 @@ impl RegionSelector for CombinedLeiSelector<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::select::arrival;
     use rsel_program::{Addr, ProgramBuilder};
 
     /// Loop with a diamond: S(cond->T) ; F ; T ; J ; back(cond->S) ; X.
@@ -142,37 +154,13 @@ mod tests {
         let mut out = Vec::new();
         for i in start..start + n {
             // back -> S backward taken branch completes the cycle.
-            out.extend(sel.on_arrival(
-                cache,
-                Arrival {
-                    src: Some(term(a[4])),
-                    tgt: a[0],
-                    taken: true,
-                    from_cache_exit: false,
-                },
-            ));
+            out.extend(sel.on_arrival(cache, arrival(p, Some(term(a[4])), a[0], true, false)));
             if i % 2 == 0 {
                 // S takes its branch to T.
-                out.extend(sel.on_arrival(
-                    cache,
-                    Arrival {
-                        src: Some(term(a[0])),
-                        tgt: a[2],
-                        taken: true,
-                        from_cache_exit: false,
-                    },
-                ));
+                out.extend(sel.on_arrival(cache, arrival(p, Some(term(a[0])), a[2], true, false)));
             } else {
                 // S falls to F, which jumps to J.
-                out.extend(sel.on_arrival(
-                    cache,
-                    Arrival {
-                        src: Some(term(a[1])),
-                        tgt: a[3],
-                        taken: true,
-                        from_cache_exit: false,
-                    },
-                ));
+                out.extend(sel.on_arrival(cache, arrival(p, Some(term(a[1])), a[3], true, false)));
             }
         }
         out
@@ -249,19 +237,11 @@ mod tests {
         run_iterations(&mut sel, &cache, &p, &a, 0, 6);
         assert!(sel.observed_bytes() > 0, "S was counted past T_start");
         assert_eq!(sel.counters_in_use(), 1);
-        // Four forward branches to fresh targets evict every buffered
+        // Four forward branches to other targets evict every buffered
         // occurrence of S.
-        let src = Addr::new(0x8000);
-        for i in 1..=4 {
-            sel.on_arrival(
-                &cache,
-                Arrival {
-                    src: Some(src),
-                    tgt: Addr::new(0x8000 + 0x10 * i),
-                    taken: true,
-                    from_cache_exit: false,
-                },
-            );
+        let src = Addr::new(0x10);
+        for tgt in [a[1], a[2], a[3], a[5]] {
+            sel.on_arrival(&cache, arrival(&p, Some(src), tgt, true, false));
         }
         assert_eq!(sel.counters_in_use(), 0, "S's counter is released");
         assert_eq!(sel.observed_bytes(), 0, "S's observations are dropped");

@@ -7,8 +7,7 @@ use super::region_cfg::combine_traces;
 use super::{Arrival, RegionSelector};
 use crate::cache::{CodeCache, Region};
 use crate::config::SimConfig;
-use crate::fxhash::FxHashSet;
-use rsel_program::{Addr, Program};
+use rsel_program::{Addr, BlockId, Program};
 use rsel_trace::AddrWidth;
 
 /// NET with trace combination (paper Figure 13).
@@ -29,7 +28,9 @@ pub struct CombinedNetSelector<'p> {
     width: AddrWidth,
     counters: CounterTable,
     observers: Vec<TraceGrower>,
-    combine_on_complete: FxHashSet<Addr>,
+    /// Per program block: whether the target starting it combines when
+    /// its in-flight observation completes.
+    combine_on_complete: Vec<bool>,
     store: ObservationStore,
 }
 
@@ -43,9 +44,9 @@ impl<'p> CombinedNetSelector<'p> {
             t_min: config.t_min,
             max_insts: config.max_trace_insts,
             width: config.addr_width,
-            counters: CounterTable::new(),
+            counters: CounterTable::new(program.blocks().len()),
             observers: Vec::new(),
-            combine_on_complete: FxHashSet::default(),
+            combine_on_complete: vec![false; program.blocks().len()],
             store: ObservationStore::new(),
         }
     }
@@ -62,7 +63,7 @@ impl<'p> CombinedNetSelector<'p> {
         let mut done = Vec::new();
         self.observers.retain_mut(|g| match feed(g) {
             Some(t) => {
-                done.push((g.entry(), t));
+                done.push((g.entry_block(), t));
                 false
             }
             None => true,
@@ -72,22 +73,32 @@ impl<'p> CombinedNetSelector<'p> {
             .collect()
     }
 
-    /// Handles one completed observation; returns the combined region
-    /// when this completion was the target's last.
-    fn observation_done(&mut self, entry: Addr, trace: GrownTrace) -> Option<Region> {
+    /// Handles one completed observation of the target starting block
+    /// `entry`; returns the combined region when this completion was
+    /// the target's last.
+    fn observation_done(&mut self, entry: BlockId, trace: GrownTrace) -> Option<Region> {
+        let addr = self.program.block(entry).start();
         self.store
-            .add(self.program, entry, trace.blocks, &trace.compact);
-        if !self.combine_on_complete.remove(&entry) {
+            .add(self.program, addr, trace.blocks, &trace.compact);
+        if !std::mem::take(&mut self.combine_on_complete[entry.index()]) {
             return None;
         }
-        let paths = self.store.take(entry);
-        Some(combine_traces(self.program, entry, &paths, self.t_min))
+        let paths = self.store.take(addr);
+        Some(combine_traces(self.program, addr, &paths, self.t_min))
     }
 }
 
 impl RegionSelector for CombinedNetSelector<'_> {
-    fn on_transfer(&mut self, cache: &CodeCache, src: Addr, tgt: Addr, taken: bool) -> Vec<Region> {
-        self.feed_observers(|g| g.feed_transfer(cache, src, tgt, taken))
+    fn on_transfer(
+        &mut self,
+        cache: &CodeCache,
+        src: Addr,
+        _src_block: BlockId,
+        tgt: Addr,
+        tgt_block: BlockId,
+        taken: bool,
+    ) -> Vec<Region> {
+        self.feed_observers(|g| g.feed_transfer(cache, src, tgt, tgt_block, taken))
     }
 
     fn on_arrival(&mut self, _cache: &CodeCache, a: Arrival) -> Vec<Region> {
@@ -95,28 +106,37 @@ impl RegionSelector for CombinedNetSelector<'_> {
         if !(backward || a.from_cache_exit) {
             return Vec::new();
         }
-        if self.combine_on_complete.contains(&a.tgt) {
+        let b = a.tgt_block.index();
+        if self.combine_on_complete[b] {
             // Combination already scheduled; stop counting.
             return Vec::new();
         }
-        let c = self.counters.increment(a.tgt);
+        let c = self.counters.increment(b);
         if c <= self.t_start {
             return Vec::new();
         }
         if c >= self.t_start + self.t_prof {
-            self.counters.recycle(a.tgt);
-            self.combine_on_complete.insert(a.tgt);
+            self.counters.recycle(b);
+            self.combine_on_complete[b] = true;
         }
-        if !self.observers.iter().any(|g| g.entry() == a.tgt) {
-            self.observers
-                .push(TraceGrower::new(a.tgt, self.max_insts, self.width));
+        if !self
+            .observers
+            .iter()
+            .any(|g| g.entry_block() == a.tgt_block)
+        {
+            self.observers.push(TraceGrower::new(
+                self.program,
+                a.tgt_block,
+                self.max_insts,
+                self.width,
+            ));
         }
         Vec::new()
     }
 
-    fn on_block(&mut self, _cache: &CodeCache, start: Addr) -> Vec<Region> {
+    fn on_block(&mut self, _cache: &CodeCache, _start: Addr, block: BlockId) -> Vec<Region> {
         let program = self.program;
-        self.feed_observers(|g| g.feed_block(program, start))
+        self.feed_observers(|g| g.feed_block(program, block))
     }
 
     fn on_fault(&mut self, fault: super::CounterFault) {
@@ -147,6 +167,7 @@ impl RegionSelector for CombinedNetSelector<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::select::arrival;
     use rsel_program::ProgramBuilder;
 
     /// S(cond->T) ; F ; T ; J ; back(cond->S) ; X(ret); F jumps to J.
@@ -183,33 +204,26 @@ mod tests {
         n: usize,
     ) -> Vec<Region> {
         let term = |addr: Addr| p.block_at(addr).unwrap().terminator().addr();
+        let id = |addr: Addr| p.block_at(addr).unwrap().id();
         let mut out = Vec::new();
         for i in start..start + n {
             let take = i % 2 == 0;
             // back -> S (backward taken): arrival then blocks.
-            out.extend(sel.on_transfer(cache, term(a[4]), a[0], true));
-            out.extend(sel.on_arrival(
-                cache,
-                Arrival {
-                    src: Some(term(a[4])),
-                    tgt: a[0],
-                    taken: true,
-                    from_cache_exit: false,
-                },
-            ));
-            out.extend(sel.on_block(cache, a[0]));
+            out.extend(sel.on_transfer(cache, term(a[4]), id(a[4]), a[0], id(a[0]), true));
+            out.extend(sel.on_arrival(cache, arrival(p, Some(term(a[4])), a[0], true, false)));
+            out.extend(sel.on_block(cache, a[0], id(a[0])));
             if take {
-                out.extend(sel.on_transfer(cache, term(a[0]), a[2], true));
-                out.extend(sel.on_block(cache, a[2]));
-                out.extend(sel.on_transfer(cache, term(a[2]), a[3], false));
+                out.extend(sel.on_transfer(cache, term(a[0]), id(a[0]), a[2], id(a[2]), true));
+                out.extend(sel.on_block(cache, a[2], id(a[2])));
+                out.extend(sel.on_transfer(cache, term(a[2]), id(a[2]), a[3], id(a[3]), false));
             } else {
-                out.extend(sel.on_transfer(cache, term(a[0]), a[1], false));
-                out.extend(sel.on_block(cache, a[1]));
-                out.extend(sel.on_transfer(cache, term(a[1]), a[3], true));
+                out.extend(sel.on_transfer(cache, term(a[0]), id(a[0]), a[1], id(a[1]), false));
+                out.extend(sel.on_block(cache, a[1], id(a[1])));
+                out.extend(sel.on_transfer(cache, term(a[1]), id(a[1]), a[3], id(a[3]), true));
             }
-            out.extend(sel.on_block(cache, a[3]));
-            out.extend(sel.on_transfer(cache, term(a[3]), a[4], false));
-            out.extend(sel.on_block(cache, a[4]));
+            out.extend(sel.on_block(cache, a[3], id(a[3])));
+            out.extend(sel.on_transfer(cache, term(a[3]), id(a[3]), a[4], id(a[4]), false));
+            out.extend(sel.on_block(cache, a[4], id(a[4])));
         }
         out
     }

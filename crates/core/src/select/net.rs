@@ -6,8 +6,7 @@ use super::form::TraceGrower;
 use super::{Arrival, RegionSelector};
 use crate::cache::{CodeCache, Region};
 use crate::config::SimConfig;
-use crate::fxhash::FxHashSet;
-use rsel_program::{Addr, Program};
+use rsel_program::{Addr, BlockId, Program};
 use rsel_trace::AddrWidth;
 
 /// The NET selector of Duesterwald and Bala, as used by Dynamo,
@@ -30,10 +29,10 @@ pub struct NetSelector<'p> {
     max_trace_insts: usize,
     width: AddrWidth,
     counters: CounterTable,
-    /// Addresses ever reached by a code-cache exit, which keep the exit
-    /// threshold for the rest of the run; recorded only when the two
-    /// thresholds differ.
-    exit_targets: FxHashSet<Addr>,
+    /// Per program block: whether a code-cache exit ever landed at its
+    /// start, which keeps the exit threshold for the rest of the run;
+    /// recorded (and sized) only when the two thresholds differ.
+    exit_targets: Vec<bool>,
     grower: Option<TraceGrower>,
 }
 
@@ -47,8 +46,8 @@ impl<'p> NetSelector<'p> {
             exit_threshold: config.net_threshold,
             max_trace_insts: config.max_trace_insts,
             width: config.addr_width,
-            counters: CounterTable::new(),
-            exit_targets: FxHashSet::default(),
+            counters: CounterTable::new(program.blocks().len()),
+            exit_targets: Vec::new(),
             grower: None,
         }
     }
@@ -66,20 +65,32 @@ impl<'p> NetSelector<'p> {
     /// traces. However, this approach still does not allow the related
     /// traces to be optimized together."
     pub fn mojo(program: &'p Program, config: &SimConfig) -> Self {
-        NetSelector {
+        let mut mojo = NetSelector {
             name: "Mojo",
             exit_threshold: config.mojo_exit_threshold,
             ..NetSelector::new(program, config)
+        };
+        if mojo.exit_threshold != mojo.threshold {
+            mojo.exit_targets = vec![false; program.blocks().len()];
         }
+        mojo
     }
 }
 
 impl RegionSelector for NetSelector<'_> {
-    fn on_transfer(&mut self, cache: &CodeCache, src: Addr, tgt: Addr, taken: bool) -> Vec<Region> {
+    fn on_transfer(
+        &mut self,
+        cache: &CodeCache,
+        src: Addr,
+        _src_block: BlockId,
+        tgt: Addr,
+        tgt_block: BlockId,
+        taken: bool,
+    ) -> Vec<Region> {
         let Some(g) = self.grower.as_mut() else {
             return Vec::new();
         };
-        match g.feed_transfer(cache, src, tgt, taken) {
+        match g.feed_transfer(cache, src, tgt, tgt_block, taken) {
             Some(t) => {
                 self.grower = None;
                 vec![Region::trace(self.program, &t.blocks)]
@@ -90,8 +101,9 @@ impl RegionSelector for NetSelector<'_> {
 
     fn on_arrival(&mut self, _cache: &CodeCache, a: Arrival) -> Vec<Region> {
         let split = self.exit_threshold != self.threshold;
+        let b = a.tgt_block.index();
         if split && a.from_cache_exit {
-            self.exit_targets.insert(a.tgt);
+            self.exit_targets[b] = true;
         }
         // Profile targets of backward taken branches and of code-cache
         // exits.
@@ -99,24 +111,29 @@ impl RegionSelector for NetSelector<'_> {
         if !(backward || a.from_cache_exit) {
             return Vec::new();
         }
-        let c = self.counters.increment(a.tgt);
-        let threshold = if split && self.exit_targets.contains(&a.tgt) {
+        let c = self.counters.increment(b);
+        let threshold = if split && self.exit_targets[b] {
             self.exit_threshold
         } else {
             self.threshold
         };
         if c >= threshold && self.grower.is_none() {
-            self.counters.recycle(a.tgt);
-            self.grower = Some(TraceGrower::new(a.tgt, self.max_trace_insts, self.width));
+            self.counters.recycle(b);
+            self.grower = Some(TraceGrower::new(
+                self.program,
+                a.tgt_block,
+                self.max_trace_insts,
+                self.width,
+            ));
         }
         Vec::new()
     }
 
-    fn on_block(&mut self, _cache: &CodeCache, start: Addr) -> Vec<Region> {
+    fn on_block(&mut self, _cache: &CodeCache, _start: Addr, block: BlockId) -> Vec<Region> {
         let Some(g) = self.grower.as_mut() else {
             return Vec::new();
         };
-        match g.feed_block(self.program, start) {
+        match g.feed_block(self.program, block) {
             Some(t) => {
                 self.grower = None;
                 vec![Region::trace(self.program, &t.blocks)]
@@ -145,6 +162,7 @@ impl RegionSelector for NetSelector<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::select::arrival;
     use rsel_program::ProgramBuilder;
 
     fn program() -> Program {
@@ -171,18 +189,10 @@ mod tests {
         let p = program();
         let mut net = NetSelector::new(&p, &cfg());
         let cache = CodeCache::new();
-        let lo = Addr::new(0x100);
-        let hi = Addr::new(0x200);
+        let lo = Addr::new(0x10);
+        let hi = p.blocks()[2].start();
         for _ in 0..10 {
-            net.on_arrival(
-                &cache,
-                Arrival {
-                    src: Some(lo),
-                    tgt: hi,
-                    taken: true,
-                    from_cache_exit: false,
-                },
-            );
+            net.on_arrival(&cache, arrival(&p, Some(lo), hi, true, false));
         }
         assert_eq!(net.counters_in_use(), 0);
         assert!(net.grower.is_none());
@@ -196,23 +206,16 @@ mod tests {
         let a = p.blocks()[0].start();
         let src = p.blocks()[0].terminator().addr();
         for i in 1..=3u32 {
-            net.on_arrival(
-                &cache,
-                Arrival {
-                    src: Some(src),
-                    tgt: a,
-                    taken: true,
-                    from_cache_exit: false,
-                },
-            );
+            net.on_arrival(&cache, arrival(&p, Some(src), a, true, false));
             assert_eq!(net.grower.is_some(), i == 3);
         }
         // Counter recycled when growth starts.
         assert_eq!(net.counters_in_use(), 0);
         // Growth: block A executes, then its backward self-branch ends
         // the trace.
-        assert!(net.on_block(&cache, a).is_empty());
-        let regions = net.on_transfer(&cache, src, a, true);
+        let ab = p.blocks()[0].id();
+        assert!(net.on_block(&cache, a, ab).is_empty());
+        let regions = net.on_transfer(&cache, src, ab, a, ab, true);
         assert_eq!(regions.len(), 1);
         assert_eq!(regions[0].entry(), a);
         assert!(regions[0].spans_cycle());
@@ -226,26 +229,10 @@ mod tests {
         let cache = CodeCache::new();
         let d = p.blocks()[2].start();
         for _ in 0..2 {
-            net.on_arrival(
-                &cache,
-                Arrival {
-                    src: None,
-                    tgt: d,
-                    taken: false,
-                    from_cache_exit: true,
-                },
-            );
+            net.on_arrival(&cache, arrival(&p, None, d, false, true));
         }
         assert_eq!(net.counters_in_use(), 1);
-        net.on_arrival(
-            &cache,
-            Arrival {
-                src: None,
-                tgt: d,
-                taken: false,
-                from_cache_exit: true,
-            },
-        );
+        net.on_arrival(&cache, arrival(&p, None, d, false, true));
         assert!(net.grower.is_some(), "third exit landing reaches threshold");
     }
 
@@ -258,29 +245,13 @@ mod tests {
         let c = p.blocks()[1].start();
         let src = Addr::new(0x500);
         for _ in 0..3 {
-            net.on_arrival(
-                &cache,
-                Arrival {
-                    src: Some(src),
-                    tgt: a,
-                    taken: true,
-                    from_cache_exit: false,
-                },
-            );
+            net.on_arrival(&cache, arrival(&p, Some(src), a, true, false));
         }
         assert!(net.grower.is_some());
         // Another target reaching threshold while growing does not
         // start a second grower (and keeps its counter).
         for _ in 0..4 {
-            net.on_arrival(
-                &cache,
-                Arrival {
-                    src: Some(src),
-                    tgt: c,
-                    taken: true,
-                    from_cache_exit: false,
-                },
-            );
+            net.on_arrival(&cache, arrival(&p, Some(src), c, true, false));
         }
         assert_eq!(net.counters_in_use(), 1);
         // `a`'s counter was recycled before `c`'s was created, so at
@@ -303,22 +274,14 @@ mod tests {
         let cache = CodeCache::new();
         let d = p.blocks()[2].start();
         for i in 1..=3u32 {
-            mojo.on_arrival(
-                &cache,
-                Arrival {
-                    src: None,
-                    tgt: d,
-                    taken: false,
-                    from_cache_exit: true,
-                },
-            );
+            mojo.on_arrival(&cache, arrival(&p, None, d, false, true));
             assert_eq!(
                 mojo.grower.is_some(),
                 i == 3,
                 "exit threshold 3 fires on the third landing"
             );
         }
-        assert_eq!(mojo.exit_targets.len(), 1);
+        assert_eq!(mojo.exit_targets.iter().filter(|&&e| e).count(), 1);
     }
 
     #[test]
@@ -328,12 +291,7 @@ mod tests {
         let cache = CodeCache::new();
         let a = p.blocks()[0].start();
         let src = p.blocks()[0].terminator().addr();
-        let backward = Arrival {
-            src: Some(src),
-            tgt: a,
-            taken: true,
-            from_cache_exit: false,
-        };
+        let backward = arrival(&p, Some(src), a, true, false);
         for _ in 0..9 {
             mojo.on_arrival(&cache, backward);
         }
@@ -353,26 +311,10 @@ mod tests {
         let a = p.blocks()[0].start();
         let src = p.blocks()[0].terminator().addr();
         // One exit landing classifies `a` as an exit target...
-        mojo.on_arrival(
-            &cache,
-            Arrival {
-                src: Some(src),
-                tgt: a,
-                taken: true,
-                from_cache_exit: true,
-            },
-        );
+        mojo.on_arrival(&cache, arrival(&p, Some(src), a, true, true));
         // ...so two more backward arrivals reach the lower threshold.
         for _ in 0..2 {
-            mojo.on_arrival(
-                &cache,
-                Arrival {
-                    src: Some(src),
-                    tgt: a,
-                    taken: true,
-                    from_cache_exit: false,
-                },
-            );
+            mojo.on_arrival(&cache, arrival(&p, Some(src), a, true, false));
         }
         assert!(mojo.grower.is_some());
     }

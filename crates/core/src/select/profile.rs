@@ -10,14 +10,15 @@
 use super::Arrival;
 use crate::cache::CodeCache;
 use crate::fxhash::FxHashMap;
-use rsel_program::{Addr, InstKind, Program};
+use rsel_program::{Addr, BlockId, InstKind, Program};
 
 /// Per-branch execution profile gathered while interpreting.
 #[derive(Clone, Debug, Default)]
 pub struct EdgeProfile {
-    /// Every transfer source recorded so far, classified against the
-    /// program text on its first record.
-    sites: FxHashMap<Addr, Site>,
+    /// Per program block: the profile of its terminator, classified
+    /// against the program text on its first record (`None` until
+    /// then). Every recorded transfer leaves a block's terminator.
+    sites: Vec<Option<Site>>,
 }
 
 /// The profile of one transfer source.
@@ -27,20 +28,19 @@ enum Site {
     Cond { taken: u64, not_taken: u64 },
     /// An indirect transfer's per-target counts (taken transfers only).
     Indirect(FxHashMap<Addr, u64>),
-    /// Any other source, including addresses holding no instruction:
-    /// nothing is profiled there.
+    /// Any other terminator: nothing is profiled there.
     Other,
 }
 
 impl Site {
-    /// An empty profile for the transfer source `src`.
-    fn classify(program: &Program, src: Addr) -> Site {
-        match program.inst_at(src).map(|i| i.kind()) {
-            Some(InstKind::CondBranch { .. }) => Site::Cond {
+    /// An empty profile for the terminator of block `src_block`.
+    fn classify(program: &Program, src_block: usize) -> Site {
+        match program.blocks()[src_block].terminator_kind() {
+            InstKind::CondBranch { .. } => Site::Cond {
                 taken: 0,
                 not_taken: 0,
             },
-            Some(InstKind::IndirectJump | InstKind::IndirectCall | InstKind::Ret) => {
+            InstKind::IndirectJump | InstKind::IndirectCall | InstKind::Ret => {
                 Site::Indirect(FxHashMap::default())
             }
             _ => Site::Other,
@@ -49,19 +49,20 @@ impl Site {
 }
 
 impl EdgeProfile {
-    /// Creates an empty profile.
-    pub fn new() -> Self {
-        EdgeProfile::default()
+    /// Creates an empty profile for a program of `block_count` blocks.
+    pub fn new(block_count: usize) -> Self {
+        EdgeProfile {
+            sites: vec![None; block_count],
+        }
     }
 
-    /// Records one interpreted transfer out of the instruction at
-    /// `src`. The source is classified against the program text only
-    /// on its first record, so a repeat costs one map lookup.
-    pub fn record(&mut self, program: &Program, src: Addr, tgt: Addr, taken: bool) {
-        let site = self
-            .sites
-            .entry(src)
-            .or_insert_with(|| Site::classify(program, src));
+    /// Records one interpreted transfer to `tgt` out of the terminator
+    /// of block `src_block`. The terminator is classified against the
+    /// program text only on its first record, so a repeat costs one
+    /// index.
+    pub fn record(&mut self, program: &Program, src_block: BlockId, tgt: Addr, taken: bool) {
+        let b = src_block.index();
+        let site = self.sites[b].get_or_insert_with(|| Site::classify(program, b));
         match site {
             Site::Cond { taken: t, .. } if taken => *t += 1,
             Site::Cond { not_taken: nt, .. } => *nt += 1,
@@ -81,25 +82,25 @@ impl EdgeProfile {
     /// once, so the direction counts lean towards taken: a branch taken
     /// 2 times in 5 reads as majority-taken.
     pub fn record_arrival(&mut self, program: &Program, a: Arrival) {
-        if let (Some(src), true) = (a.src, a.taken) {
-            self.record(program, src, a.tgt, true);
+        if let (Some(src_block), true) = (a.src_block, a.taken) {
+            self.record(program, src_block, a.tgt, true);
         }
     }
 
-    /// The majority direction of the conditional branch at `src`
-    /// (`None` if never observed; ties resolve to not-taken, the
-    /// cheaper fall-through).
-    pub fn majority_cond(&self, src: Addr) -> Option<bool> {
-        match self.sites.get(&src)? {
+    /// The majority direction of the conditional branch ending block
+    /// `block` (`None` if never observed; ties resolve to not-taken,
+    /// the cheaper fall-through).
+    pub fn majority_cond(&self, block: usize) -> Option<bool> {
+        match self.sites[block].as_ref()? {
             Site::Cond { taken, not_taken } => Some(taken > not_taken),
             _ => None,
         }
     }
 
-    /// The most frequent observed target of the indirect branch at
-    /// `src`.
-    pub fn majority_indirect(&self, src: Addr) -> Option<Addr> {
-        let Site::Indirect(targets) = self.sites.get(&src)? else {
+    /// The most frequent observed target of the indirect branch ending
+    /// block `block`.
+    pub fn majority_indirect(&self, block: usize) -> Option<Addr> {
+        let Site::Indirect(targets) = self.sites[block].as_ref()? else {
             return None;
         };
         targets
@@ -113,7 +114,8 @@ impl EdgeProfile {
     #[cfg(test)]
     fn sites(&self) -> usize {
         self.sites
-            .values()
+            .iter()
+            .flatten()
             .filter(|s| match s {
                 Site::Cond { .. } => true,
                 Site::Indirect(targets) => !targets.is_empty(),
@@ -123,9 +125,10 @@ impl EdgeProfile {
     }
 }
 
-/// Builds a trace from `entry` by following the majority direction of
-/// every branch, in the style of BOA: "a trace is selected by following
-/// the target of each conditional branch with the highest count" (§5).
+/// Builds a trace from the start of block `entry` by following the
+/// majority direction of every branch, in the style of BOA: "a trace is
+/// selected by following the target of each conditional branch with
+/// the highest count" (§5).
 ///
 /// The walk ends — as under NET — when the chosen direction is a taken
 /// backward branch (included), targets an existing region's entry,
@@ -135,19 +138,17 @@ pub fn majority_walk(
     program: &Program,
     cache: &CodeCache,
     profile: &EdgeProfile,
-    entry: Addr,
+    entry: BlockId,
     max_insts: usize,
 ) -> Vec<Addr> {
     let mut blocks: Vec<Addr> = Vec::new();
     let mut insts = 0usize;
-    let mut addr = entry;
-    loop {
-        if blocks.contains(&addr) || (cache.contains(addr) && addr != entry) {
+    let mut next = Some(program.block(entry));
+    while let Some(block) = next {
+        let (addr, b) = (block.start(), block.id());
+        if blocks.contains(&addr) || (b != entry && cache.lookup_block(b.index()).is_some()) {
             break;
         }
-        let Some(block) = program.block_at(addr) else {
-            break;
-        };
         blocks.push(addr);
         insts += block.len();
         if insts >= max_insts {
@@ -155,25 +156,25 @@ pub fn majority_walk(
         }
         let term = block.terminator();
         let src = term.addr();
-        let (next, taken) = match term.kind() {
+        let (to, taken) = match term.kind() {
             InstKind::Straight => (block.fallthrough_addr(), false),
             InstKind::Jump { target } | InstKind::Call { target } => (target, true),
-            InstKind::CondBranch { target } => match profile.majority_cond(src) {
+            InstKind::CondBranch { target } => match profile.majority_cond(b.index()) {
                 Some(true) => (target, true),
                 Some(false) => (block.fallthrough_addr(), false),
                 None => break,
             },
             InstKind::IndirectJump | InstKind::IndirectCall | InstKind::Ret => {
-                match profile.majority_indirect(src) {
+                match profile.majority_indirect(b.index()) {
                     Some(t) => (t, true),
                     None => break,
                 }
             }
         };
-        if taken && next.is_backward_from(src) {
+        if taken && to.is_backward_from(src) {
             break; // the trace ends with this backward branch
         }
-        addr = next;
+        next = program.block_at(to);
     }
     blocks
 }
@@ -206,47 +207,48 @@ mod tests {
     fn record_and_majorities() {
         let p = program();
         let s = starts(&p);
-        let a_branch = p.block_at(s[0]).unwrap().terminator().addr();
-        let mut prof = EdgeProfile::new();
+        let a_branch = p.block_at(s[0]).unwrap().id();
+        let mut prof = EdgeProfile::new(p.blocks().len());
         prof.record(&p, a_branch, s[2], true);
         prof.record(&p, a_branch, s[2], true);
         prof.record(&p, a_branch, s[1], false);
-        assert_eq!(prof.majority_cond(a_branch), Some(true));
-        assert_eq!(prof.majority_cond(Addr::new(0x9999)), None);
+        assert_eq!(prof.majority_cond(a_branch.index()), Some(true));
+        assert_eq!(prof.majority_cond(3), None);
         assert_eq!(prof.sites(), 1);
-        // Transfers out of a non-branch or a non-instruction are not
-        // sites, and a conditional branch has no indirect majority.
-        prof.record(&p, s[1], s[2], false);
-        prof.record(&p, Addr::new(0x9999), s[2], true);
+        // A transfer out of a straight block is not a site, a
+        // not-taken record leaves an indirect site empty, and a
+        // conditional branch has no indirect majority.
+        prof.record(&p, p.blocks()[1].id(), s[2], false);
+        prof.record(&p, p.blocks()[3].id(), s[2], false);
         assert_eq!(prof.sites(), 1);
-        assert_eq!(prof.majority_indirect(a_branch), None);
+        assert_eq!(prof.majority_indirect(a_branch.index()), None);
     }
 
     #[test]
     fn tie_resolves_to_not_taken() {
         let p = program();
         let s = starts(&p);
-        let a_branch = p.block_at(s[0]).unwrap().terminator().addr();
-        let mut prof = EdgeProfile::new();
+        let a_branch = p.block_at(s[0]).unwrap().id();
+        let mut prof = EdgeProfile::new(p.blocks().len());
         prof.record(&p, a_branch, s[2], true);
         prof.record(&p, a_branch, s[1], false);
-        assert_eq!(prof.majority_cond(a_branch), Some(false));
+        assert_eq!(prof.majority_cond(a_branch.index()), Some(false));
     }
 
     #[test]
     fn walk_follows_majority_and_stops_at_backward() {
         let p = program();
         let s = starts(&p);
-        let a_branch = p.block_at(s[0]).unwrap().terminator().addr();
-        let c_branch = p.block_at(s[2]).unwrap().terminator().addr();
-        let mut prof = EdgeProfile::new();
+        let a_branch = p.block_at(s[0]).unwrap().id();
+        let c_branch = p.block_at(s[2]).unwrap().id();
+        let mut prof = EdgeProfile::new(p.blocks().len());
         // A mostly taken to C; C mostly taken back to A (backward).
         for _ in 0..3 {
             prof.record(&p, a_branch, s[2], true);
             prof.record(&p, c_branch, s[0], true);
         }
         let cache = CodeCache::new();
-        let t = majority_walk(&p, &cache, &prof, s[0], 100);
+        let t = majority_walk(&p, &cache, &prof, p.blocks()[0].id(), 100);
         assert_eq!(t, vec![s[0], s[2]], "ends at C's backward branch");
     }
 
@@ -254,9 +256,9 @@ mod tests {
     fn walk_stops_at_unprofiled_branch() {
         let p = program();
         let s = starts(&p);
-        let prof = EdgeProfile::new();
+        let prof = EdgeProfile::new(p.blocks().len());
         let cache = CodeCache::new();
-        let t = majority_walk(&p, &cache, &prof, s[0], 100);
+        let t = majority_walk(&p, &cache, &prof, p.blocks()[0].id(), 100);
         assert_eq!(t, vec![s[0]], "cannot pick a direction without counts");
     }
 
@@ -264,16 +266,16 @@ mod tests {
     fn walk_stops_at_cached_entry_and_size_limit() {
         let p = program();
         let s = starts(&p);
-        let a_branch = p.block_at(s[0]).unwrap().terminator().addr();
-        let mut prof = EdgeProfile::new();
+        let a_branch = p.block_at(s[0]).unwrap().id();
+        let mut prof = EdgeProfile::new(p.blocks().len());
         prof.record(&p, a_branch, s[1], false); // falls into B
         let mut cache = CodeCache::new();
         cache.insert(crate::cache::Region::trace(&p, &[s[1]]));
-        let t = majority_walk(&p, &cache, &prof, s[0], 100);
+        let t = majority_walk(&p, &cache, &prof, p.blocks()[0].id(), 100);
         assert_eq!(t, vec![s[0]], "stops before the cached block B");
         // Size limit of 1 instruction stops after the first block.
         let cache2 = CodeCache::new();
-        let t2 = majority_walk(&p, &cache2, &prof, s[0], 1);
+        let t2 = majority_walk(&p, &cache2, &prof, p.blocks()[0].id(), 1);
         assert_eq!(t2, vec![s[0]]);
     }
 
@@ -290,17 +292,17 @@ mod tests {
         b.jump(t2, d);
         b.ret(d);
         let p = b.build().unwrap();
-        let sw_branch = p.block(sw).branch_addr().unwrap();
+        let sw_branch = sw;
         let t1s = p.block(t1).start();
         let t2s = p.block(t2).start();
-        let mut prof = EdgeProfile::new();
+        let mut prof = EdgeProfile::new(p.blocks().len());
         // A not-taken record profiles nothing at an indirect site.
         prof.record(&p, sw_branch, t1s, false);
         assert_eq!(prof.sites(), 0);
-        assert_eq!(prof.majority_indirect(sw_branch), None);
+        assert_eq!(prof.majority_indirect(sw_branch.index()), None);
         prof.record(&p, sw_branch, t1s, true);
         prof.record(&p, sw_branch, t2s, true);
         prof.record(&p, sw_branch, t2s, true);
-        assert_eq!(prof.majority_indirect(sw_branch), Some(t2s));
+        assert_eq!(prof.majority_indirect(sw_branch.index()), Some(t2s));
     }
 }

@@ -18,7 +18,7 @@ use super::profile::{EdgeProfile, majority_walk};
 use super::{Arrival, RegionSelector};
 use crate::cache::{CodeCache, Region};
 use crate::config::SimConfig;
-use rsel_program::{Addr, Program};
+use rsel_program::{Addr, BlockId, Program};
 
 /// The Wiggins/Redstone-style sampling selector. Its profile
 /// double-counts taken branches; see [`EdgeProfile::record_arrival`].
@@ -42,8 +42,8 @@ impl<'p> WigginsRedstoneSelector<'p> {
             sample_threshold: config.wr_sample_threshold,
             max_trace_insts: config.max_trace_insts,
             blocks_seen: 0,
-            samples: CounterTable::new(),
-            profile: EdgeProfile::new(),
+            samples: CounterTable::new(program.blocks().len()),
+            profile: EdgeProfile::new(program.blocks().len()),
         }
     }
 }
@@ -52,11 +52,13 @@ impl RegionSelector for WigginsRedstoneSelector<'_> {
     fn on_transfer(
         &mut self,
         _cache: &CodeCache,
-        src: Addr,
+        _src: Addr,
+        src_block: BlockId,
         tgt: Addr,
+        _tgt_block: BlockId,
         taken: bool,
     ) -> Vec<Region> {
-        self.profile.record(self.program, src, tgt, taken);
+        self.profile.record(self.program, src_block, tgt, taken);
         Vec::new()
     }
 
@@ -65,22 +67,23 @@ impl RegionSelector for WigginsRedstoneSelector<'_> {
         Vec::new()
     }
 
-    fn on_block(&mut self, cache: &CodeCache, start: Addr) -> Vec<Region> {
+    fn on_block(&mut self, cache: &CodeCache, _start: Addr, block: BlockId) -> Vec<Region> {
         self.blocks_seen += 1;
         if !self.blocks_seen.is_multiple_of(self.sample_period) {
             return Vec::new();
         }
         // A PC sample landed on this block.
-        let c = self.samples.increment(start);
-        if c < self.sample_threshold || cache.contains(start) {
+        let b = block.index();
+        let c = self.samples.increment(b);
+        if c < self.sample_threshold || cache.lookup_block(b).is_some() {
             return Vec::new();
         }
-        self.samples.recycle(start);
+        self.samples.recycle(b);
         let blocks = majority_walk(
             self.program,
             cache,
             &self.profile,
-            start,
+            block,
             self.max_trace_insts,
         );
         if blocks.is_empty() {

@@ -21,7 +21,7 @@
 //! drawn start through the drawn cache.
 
 use proptest::prelude::*;
-use regionsel::core::select::lei::{FormedTrace, form_trace_from_branches};
+use regionsel::core::select::lei::{FormedTrace, TraceMarks, form_trace_from_branches};
 use regionsel::core::select::{GrownTrace, TraceGrower};
 use regionsel::core::{CodeCache, Region};
 use regionsel::program::fxhash::FxHashSet;
@@ -274,7 +274,14 @@ fn check_form(rng: &mut Rng, totals: &mut [usize; 6]) {
     let (start, branches, cache) = draw_form(p, rng);
     let mut seen = Seen::default();
     let want = oracle_form(p, &cache, start, &branches, &mut seen);
-    let got = form_trace_from_branches(p, &cache, start, &branches, AddrWidth::W32);
+    let got = form_trace_from_branches(
+        p,
+        &cache,
+        start,
+        branches.iter().copied(),
+        &mut TraceMarks::new(),
+        AddrWidth::W32,
+    );
     if seen.off.is_some() {
         // The trace ends at the last whole block before the walk left
         // the block boundaries.
@@ -305,16 +312,13 @@ fn check_form(rng: &mut Rng, totals: &mut [usize; 6]) {
 /// interpreted path, feeding the grower as the simulator does: each
 /// transfer out of the last block, then the block it reaches.
 fn grow(p: &Program, cache: &CodeCache, start: Addr, rng: &mut Rng) -> Option<GrownTrace> {
-    let mut grower = TraceGrower::new(start, rng.below(256) + 1, AddrWidth::W32);
-    let mut at = start;
+    let mut at = p.block_at(start).expect("the walk starts on a block");
+    let mut grower = TraceGrower::new(p, at.id(), rng.below(256) + 1, AddrWidth::W32);
     loop {
-        if let Some(t) = grower.feed_block(p, at) {
+        if let Some(t) = grower.feed_block(p, at.id()) {
             return Some(t);
         }
-        let term = p
-            .block_at(at)
-            .expect("the walk stays on blocks")
-            .terminator();
+        let term = at.terminator();
         let (tgt, taken) = match term.kind() {
             InstKind::Straight => (term.fallthrough_addr(), false),
             InstKind::Jump { target } | InstKind::Call { target } => (target, true),
@@ -324,12 +328,12 @@ fn grow(p: &Program, cache: &CodeCache, start: Addr, rng: &mut Rng) -> Option<Gr
                 (block_start(p, rng), true)
             }
         };
-        if let Some(t) = grower.feed_transfer(cache, term.addr(), tgt, taken) {
+        // Falling off the end of the program text ends the walk.
+        let next = p.block_at(tgt)?;
+        if let Some(t) = grower.feed_transfer(cache, term.addr(), tgt, next.id(), taken) {
             return Some(t);
         }
-        // Falling off the end of the program text ends the walk.
-        p.block_at(tgt)?;
-        at = tgt;
+        at = next;
     }
 }
 
