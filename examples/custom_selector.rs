@@ -8,7 +8,11 @@
 //! [`RegionSelector`](regionsel::core::select::RegionSelector) drives
 //! the simulator. Only `on_arrival` and the counter statistics are
 //! required: `on_transfer` and `on_block` default to selecting nothing,
-//! so a selector without a trace-growth phase leaves them out.
+//! so a selector without a trace-growth phase leaves them out. Nor does
+//! a plug-in write anything for speed: `Simulator::replay_decoded`
+//! runs a copy of the replay loop compiled for the plug-in's own type,
+//! with its hooks called statically rather than through the vtable,
+//! exactly as for the built-in selectors.
 //!
 //! The custom algorithm here is *single-block caching*: every backward
 //! branch target above a threshold becomes a one-block region — roughly
